@@ -7,8 +7,10 @@
 namespace linesearch {
 
 Fleet SearchStrategy::build_unbounded_fleet() const {
-  expects(false, "build_unbounded_fleet: strategy '" + name() +
-                     "' does not support analytic (unbounded) schedules");
+  expects(false, [this] {
+    return "build_unbounded_fleet: strategy '" + name() +
+           "' does not support analytic (unbounded) schedules";
+  });
   // expects(false, ...) always throws; build_fleet keeps working.
   return build_fleet(2);  // unreachable
 }

@@ -44,10 +44,11 @@ std::vector<bool> FixedFaults::choose_faults(const Fleet& fleet,
           "fixed fault set size must match fleet size");
   const auto count =
       std::count(faulty_.begin(), faulty_.end(), true);
-  expects(count <= max_faults,
-          "fixed fault set has " + std::to_string(count) +
-              " faulty robots but the budget allows only " +
-              std::to_string(max_faults));
+  expects(count <= max_faults, [count, max_faults] {
+    return "fixed fault set has " + std::to_string(count) +
+           " faulty robots but the budget allows only " +
+           std::to_string(max_faults);
+  });
   return faulty_;
 }
 
@@ -260,10 +261,11 @@ std::vector<bool> ByzantineFaults::choose_faults(const Fleet& fleet,
   expects(plan_.size() == fleet.size(),
           "byzantine faults: plan size must match the fleet");
   const int liars = plan_.liar_count();
-  expects(liars <= max_faults,
-          "byzantine faults: plan lies with " + std::to_string(liars) +
-              " robots but the budget allows only " +
-              std::to_string(max_faults));
+  expects(liars <= max_faults, [liars, max_faults] {
+    return "byzantine faults: plan lies with " + std::to_string(liars) +
+           " robots but the budget allows only " +
+           std::to_string(max_faults);
+  });
   return plan_.liar;
 }
 

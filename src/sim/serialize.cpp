@@ -23,15 +23,22 @@ constexpr const char* kHeader = "robot,time,position";
 // pass), so externally-authored files carrying non-finite markers are
 // rejected here with the row context rather than slipping through
 // Trajectory validation.
-Real parse_real(const std::string& field, const std::string& context) {
+std::string row_context(const int line_number) {
+  return "line " + std::to_string(line_number);
+}
+
+Real parse_real(const std::string& field, const int line_number) {
   Real value = 0;
   try {
     value = parse_real_field(field);
   } catch (const PreconditionError& error) {
-    throw PreconditionError(std::string(error.what()) + " in " + context);
+    throw PreconditionError(std::string(error.what()) + " in " +
+                            row_context(line_number));
   }
-  expects(std::isfinite(value),
-          "waypoint fields must be finite, got '" + field + "' in " + context);
+  expects(std::isfinite(value), [&field, line_number] {
+    return "waypoint fields must be finite, got '" + field + "' in " +
+           row_context(line_number);
+  });
   return value;
 }
 
@@ -58,9 +65,10 @@ Fleet read_fleet_csv(std::istream& in) {
           "serialize: empty input");
   // Tolerate trailing \r from Windows-authored files.
   if (!line.empty() && line.back() == '\r') line.pop_back();
-  expects(line == kHeader,
-          "serialize: expected header '" + std::string(kHeader) + "', got '" +
-              line + "'");
+  expects(line == kHeader, [&line] {
+    return "serialize: expected header '" + std::string(kHeader) +
+           "', got '" + line + "'";
+  });
 
   std::map<unsigned long, std::vector<Waypoint>> by_robot;
   int line_number = 1;
@@ -68,23 +76,29 @@ Fleet read_fleet_csv(std::istream& in) {
     ++line_number;
     if (!line.empty() && line.back() == '\r') line.pop_back();
     if (line.empty()) continue;
-    const std::string context = "line " + std::to_string(line_number);
 
     std::istringstream fields(line);
     std::string robot_field, time_field, position_field, extra;
     expects(std::getline(fields, robot_field, ',') &&
                 std::getline(fields, time_field, ',') &&
                 std::getline(fields, position_field, ','),
-            "serialize: expected 3 fields at " + context);
-    expects(!std::getline(fields, extra, ','),
-            "serialize: too many fields at " + context);
+            [line_number] {
+              return "serialize: expected 3 fields at " +
+                     row_context(line_number);
+            });
+    expects(!std::getline(fields, extra, ','), [line_number] {
+      return "serialize: too many fields at " + row_context(line_number);
+    });
 
     char* end = nullptr;
     const unsigned long robot = std::strtoul(robot_field.c_str(), &end, 10);
     expects(end != nullptr && *end == '\0' && !robot_field.empty(),
-            "serialize: malformed robot id at " + context);
-    by_robot[robot].push_back({parse_real(time_field, context),
-                               parse_real(position_field, context)});
+            [line_number] {
+              return "serialize: malformed robot id at " +
+                     row_context(line_number);
+            });
+    by_robot[robot].push_back({parse_real(time_field, line_number),
+                               parse_real(position_field, line_number)});
   }
   expects(!by_robot.empty(), "serialize: no waypoints");
 

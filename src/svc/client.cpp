@@ -58,32 +58,39 @@ long long request_id_of(const std::string& line) {
   return id == nullptr ? 0 : id->as_int();
 }
 
-/// A response line is authoritative iff it parses as an object whose
-/// "id" echoes the request and which carries an "ok" field.  Anything
-/// else is a damaged or foreign frame.
-bool response_matches(const std::string& line, const long long expected_id) {
-  try {
-    const JsonValue doc = parse_json(line);
-    if (!doc.is_object()) return false;
-    const JsonValue* id = doc.find("id");
-    if (id == nullptr || id->as_int() != expected_id) return false;
-    return doc.find("ok") != nullptr;
-  } catch (const std::exception&) {
-    return false;
-  }
-}
+/// What one response line means to the call waiting on it.
+enum class Reply {
+  kForeign,    ///< damaged or foreign frame: reconnect and re-issue
+  kRetryable,  ///< the server shed the request: retry on a fresh connection
+  kAnswer,     ///< authoritative: the server's answer to this request
+};
 
-/// Server-side conditions that are transient by contract: retrying on a
-/// fresh connection can succeed (overload sheds, drains finish).
-bool retryable_server_error(const std::string& line) {
+/// Classify a response line with a single parse.  A line is
+/// authoritative iff it parses as an object whose "id" echoes the
+/// request and which carries an "ok" field; anything else is a damaged
+/// or foreign frame.  An authoritative {"ok":false} whose error is
+/// "overloaded" or starts with "draining" names a condition that is
+/// transient by contract (overload sheds, drains finish), so retrying on
+/// a fresh connection can succeed.
+Reply classify_response(const std::string& line, const long long expected_id) {
+  JsonValue doc;
   try {
-    const JsonValue doc = parse_json(line);
-    if (doc.at("ok").as_bool()) return false;
-    const std::string error = doc.at("error").as_string();
-    return error == "overloaded" || error.rfind("draining", 0) == 0;
+    doc = parse_json(line);
+    if (!doc.is_object()) return Reply::kForeign;
+    const JsonValue* id = doc.find("id");
+    if (id == nullptr || id->as_int() != expected_id) return Reply::kForeign;
   } catch (const std::exception&) {
-    return false;
+    return Reply::kForeign;
   }
+  const JsonValue* ok = doc.find("ok");
+  if (ok == nullptr) return Reply::kForeign;
+  if (!ok->is_bool() || ok->as_bool()) return Reply::kAnswer;
+  const JsonValue* error = doc.find("error");
+  if (error == nullptr || !error->is_string()) return Reply::kAnswer;
+  const std::string& text = error->as_string();
+  return text == "overloaded" || text.starts_with("draining")
+             ? Reply::kRetryable
+             : Reply::kAnswer;
 }
 
 }  // namespace
@@ -245,7 +252,8 @@ ClientResult QueryClient::call_line(const std::string& request_line) {
             buffer.substr(line_start, newline - line_start);
         line_start = newline + 1;
         if (line.empty()) continue;
-        if (!response_matches(line, expected_id)) {
+        const Reply reply = classify_response(line, expected_id);
+        if (reply == Reply::kForeign) {
           obs::count(ClientMetrics::instance().corrupt_frames);
           last_failure = "damaged or foreign response frame";
           last_was_timeout = false;
@@ -253,7 +261,7 @@ ClientResult QueryClient::call_line(const std::string& request_line) {
           attempt_done = true;
           break;
         }
-        if (retryable_server_error(line)) {
+        if (reply == Reply::kRetryable) {
           last_failure = "server shed the request (overloaded/draining)";
           last_was_timeout = false;
           transport_->disconnect();

@@ -388,22 +388,21 @@ QueryResult QueryService::evaluate(const CrQuery& query) {
     }
     std::unique_lock<std::mutex> lock(flight->mutex);
     flight->done.wait(lock, [&flight] { return flight->finished; });
-    if (flight->failed) throw Error(flight->error);
+    if (flight->error) std::rethrow_exception(flight->error);
     return flight->result;
   }
 
   QueryResult result;
   try {
     result = compute(canonical);
-  } catch (const std::exception& failure) {
+  } catch (...) {
     if (flight != nullptr) {
       {
         const std::lock_guard<std::mutex> lock(inflight_mutex_);
         inflight_.erase(key);
       }
       const std::lock_guard<std::mutex> lock(flight->mutex);
-      flight->failed = true;
-      flight->error = failure.what();
+      flight->error = std::current_exception();
       flight->finished = true;
       flight->done.notify_all();
     }
@@ -446,8 +445,9 @@ std::size_t shard_of_key(const std::string& key,
       first == std::string::npos ? first : key.find('|', first + 1);
   const std::size_t third =
       second == std::string::npos ? second : key.find('|', second + 1);
-  expects(third != std::string::npos,
-          "svc: cache key missing regime-pair fields: " + key);
+  expects(third != std::string::npos, [&key] {
+    return "svc: cache key missing regime-pair fields: " + key;
+  });
   int n = 0;
   int f = 0;
   const char* n_begin = key.data() + first + 1;
@@ -459,7 +459,9 @@ std::size_t shard_of_key(const std::string& key,
   expects(n_parsed.ec == std::errc{} && n_parsed.ptr == n_end &&
               f_parsed.ec == std::errc{} && f_parsed.ptr == f_end &&
               n > 0 && f > 0,
-          "svc: cache key regime pair does not parse: " + key);
+          [&key] {
+            return "svc: cache key regime pair does not parse: " + key;
+          });
   const std::size_t pair = static_cast<std::size_t>(n) * 31u +
                            static_cast<std::size_t>(f);
   return pair % shard_count;

@@ -25,8 +25,9 @@
 // query.
 #pragma once
 
-#include <cstdint>
 #include <condition_variable>
+#include <cstdint>
+#include <exception>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -205,8 +206,9 @@ class QueryService {
     std::mutex mutex;
     std::condition_variable done;
     bool finished = false;
-    bool failed = false;
-    std::string error;
+    /// The leader's exception, rethrown to every follower: the same
+    /// object, so what() and Error::message() match the leader's.
+    std::exception_ptr error;
     QueryResult result;
   };
 

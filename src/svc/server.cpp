@@ -11,7 +11,7 @@
 #include <climits>
 #include <condition_variable>
 #include <cstring>
-#include <sstream>
+#include <mutex>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -85,9 +85,24 @@ int int_field(const JsonValue& doc, const char* name, const int fallback) {
   const JsonValue* found = doc.find(name);
   if (found == nullptr) return fallback;
   const long long value = found->as_int();
-  expects(value >= INT_MIN && value <= INT_MAX,
-          std::string("svc: field '") + name + "' out of int range");
+  expects(value >= INT_MIN && value <= INT_MAX, [name] {
+    return std::string("svc: field '") + name + "' out of int range";
+  });
   return static_cast<int>(value);
+}
+
+/// The text an error response carries.  A library error contributes its
+/// message without the source location, so the response bytes are the
+/// same in every checkout and build of the server.
+std::string_view wire_message(const std::exception& failure) {
+  if (const auto* error = dynamic_cast<const Error*>(&failure)) {
+    return error->message();
+  }
+  return failure.what();
+}
+
+void bump(std::atomic<std::uint64_t>& tally) {
+  tally.fetch_add(1, std::memory_order_relaxed);
 }
 
 }  // namespace
@@ -99,8 +114,9 @@ WireRequest parse_request(const std::string& line) {
   if (const JsonValue* id = doc.find("id"); id != nullptr) {
     request.id = id->as_int();
   }
-  const std::string op = doc.at("op").as_string();
-  expects(op == "cr", "svc: unknown op '" + op + "' (valid: cr)");
+  const std::string& op = doc.at("op").as_string();
+  expects(op == "cr",
+          [&op] { return "svc: unknown op '" + op + "' (valid: cr)"; });
   CrQuery& query = request.query;
   query.n = int_field(doc, "n", query.n);
   query.f = int_field(doc, "f", query.f);
@@ -122,21 +138,31 @@ WireRequest parse_request(const std::string& line) {
   return request;
 }
 
+// The two renderers spell out what a compact JsonWriter emits for these
+// fields, straight into one string: the same bytes, without a stream.
+// The room reserved covers the framing newline write_line appends.
+
 std::string render_response(const long long id, const QueryResult& result) {
-  std::ostringstream out;
-  JsonWriter json(out, /*compact=*/true);
-  json.begin_object();
-  json.field("id", id);
-  json.field("ok", true);
-  json.field("feasible", result.feasible);
-  json.field("cr", result.cr);
-  json.field("argmax", result.argmax);
-  json.field("cr_positive", result.cr_positive);
-  json.field("cr_negative", result.cr_negative);
-  json.field("probes", result.probes);
-  json.field("undetected_probes", result.undetected_probes);
-  json.end_object();
-  return out.str();
+  std::string out;
+  out.reserve(320);
+  out += "{\"id\":";
+  out += std::to_string(id);
+  out += ",\"ok\":true,\"feasible\":";
+  out += result.feasible ? "true" : "false";
+  out += ",\"cr\":";
+  out += json_real(result.cr);
+  out += ",\"argmax\":";
+  out += json_real(result.argmax);
+  out += ",\"cr_positive\":";
+  out += json_real(result.cr_positive);
+  out += ",\"cr_negative\":";
+  out += json_real(result.cr_negative);
+  out += ",\"probes\":";
+  out += std::to_string(result.probes);
+  out += ",\"undetected_probes\":";
+  out += std::to_string(result.undetected_probes);
+  out += '}';
+  return out;
 }
 
 long long peek_request_id(const std::string& line) noexcept {
@@ -166,15 +192,15 @@ std::vector<std::string> drain_reject_lines(const std::string& pending) {
   return responses;
 }
 
-std::string render_error(const long long id, const std::string& message) {
-  std::ostringstream out;
-  JsonWriter json(out, /*compact=*/true);
-  json.begin_object();
-  json.field("id", id);
-  json.field("ok", false);
-  json.field("error", message);
-  json.end_object();
-  return out.str();
+std::string render_error(const long long id, const std::string_view message) {
+  std::string out;
+  out.reserve(message.size() + 64);
+  out += "{\"id\":";
+  out += std::to_string(id);
+  out += ",\"ok\":false,\"error\":\"";
+  out += json_escape(message);
+  out += "\"}";
+  return out;
 }
 
 QueryServer::QueryServer(QueryServerOptions options)
@@ -188,10 +214,7 @@ QueryServer::QueryServer(QueryServerOptions options)
 std::string QueryServer::handle_line(const std::string& line) {
   const auto start = std::chrono::steady_clock::now();
   obs::count(WireMetrics::instance().requests);
-  {
-    const std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.requests;
-  }
+  bump(tallies_.requests);
 
   long long id = 0;
   std::string response;
@@ -204,9 +227,8 @@ std::string QueryServer::handle_line(const std::string& line) {
     inflight_.fetch_sub(1, std::memory_order_acq_rel);
     obs::count(WireMetrics::instance().rejected);
     obs::count(WireMetrics::instance().errors);
-    const std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.rejected;
-    ++stats_.errors;
+    bump(tallies_.rejected);
+    bump(tallies_.errors);
     return render_error(id, "overloaded");
   }
   try {
@@ -215,16 +237,13 @@ std::string QueryServer::handle_line(const std::string& line) {
     response = render_response(id, service_.evaluate(request.query));
   } catch (const std::exception& failure) {
     obs::count(WireMetrics::instance().errors);
-    {
-      const std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.errors;
-    }
+    bump(tallies_.errors);
     // Echo the request id whenever the line itself parsed (the failure
     // was a bad op/field): clients can then match the structured error
     // to its request.  A 0-id error means the REQUEST was unparseable —
     // to a client that only sends ids >= 1, proof of a damaged frame.
     if (id == 0) id = peek_request_id(line);
-    response = render_error(id, failure.what());
+    response = render_error(id, wire_message(failure));
   }
   inflight_.fetch_sub(1, std::memory_order_acq_rel);
 
@@ -236,63 +255,58 @@ std::string QueryServer::handle_line(const std::string& line) {
   return response;
 }
 
-bool QueryServer::write_line(const int fd, const std::string& line) {
-  const std::string response = line + '\n';
+bool QueryServer::write_line(const int fd, std::string line) {
+  line += '\n';
   const auto deadline =
       std::chrono::steady_clock::now() +
       std::chrono::milliseconds(options_.write_timeout_ms);
   std::size_t written = 0;
-  while (written < response.size()) {
+  while (written < line.size()) {
+    // MSG_NOSIGNAL: a client that closed mid-response yields EPIPE here
+    // instead of a process-killing SIGPIPE — the library-level half of
+    // the fix (serve_main's SIG_IGN only covers its own process, not
+    // embedders or the test binaries).  MSG_DONTWAIT: a socket buffer
+    // with room takes the response in this one call; only a full one
+    // waits below.
+    const ssize_t sent = ::send(fd, line.data() + written,
+                                line.size() - written,
+                                MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (sent >= 0) {
+      written += static_cast<std::size_t>(sent);
+      continue;
+    }
+    if (errno == EINTR) continue;
+    if (errno != EAGAIN && errno != EWOULDBLOCK) break;  // the peer is gone
+    // A peer that stops reading must not park this worker forever:
+    // wait for writability only up to the write deadline.
+    int wait = -1;
     if (options_.write_timeout_ms > 0) {
-      // A peer that stops reading must not park this worker forever:
-      // wait for writability only up to the write deadline.
       const auto now = std::chrono::steady_clock::now();
       if (now >= deadline) {
         obs::count(WireMetrics::instance().write_timeout);
         obs::count(WireMetrics::instance().write_failures);
-        const std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.write_failures;
+        bump(tallies_.write_failures);
         return false;
       }
-      pollfd poller{};
-      poller.fd = fd;
-      poller.events = POLLOUT;
-      const int wait = static_cast<int>(
-          std::chrono::duration_cast<std::chrono::milliseconds>(deadline -
-                                                                now)
-              .count());
-      const int ready = ::poll(&poller, 1, std::max(1, wait));
-      if (ready < 0) {
-        if (errno == EINTR) continue;
-        break;
-      }
-      if (ready == 0) continue;  // re-check the deadline
+      wait = std::max(
+          1, static_cast<int>(
+                 std::chrono::duration_cast<std::chrono::milliseconds>(
+                     deadline - now)
+                     .count()));
     }
-    // MSG_NOSIGNAL: a client that closed mid-response yields EPIPE here
-    // instead of a process-killing SIGPIPE — the library-level half of
-    // the fix (serve_main's SIG_IGN only covers its own process, not
-    // embedders or the test binaries).
-    const ssize_t sent = ::send(fd, response.data() + written,
-                                response.size() - written, MSG_NOSIGNAL);
-    if (sent < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) continue;
-      break;  // EPIPE/ECONNRESET: the peer is gone
-    }
-    written += static_cast<std::size_t>(sent);
+    pollfd poller{};
+    poller.fd = fd;
+    poller.events = POLLOUT;
+    if (::poll(&poller, 1, wait) < 0 && errno != EINTR) break;
   }
-  if (written >= response.size()) return true;
+  if (written >= line.size()) return true;
   obs::count(WireMetrics::instance().write_failures);
-  const std::lock_guard<std::mutex> lock(stats_mutex_);
-  ++stats_.write_failures;
+  bump(tallies_.write_failures);
   return false;
 }
 
 void QueryServer::handle_connection(const int fd) {
-  {
-    const std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.connections;
-  }
+  bump(tallies_.connections);
   std::string buffer;
   char chunk[4096];
   bool open = true;
@@ -325,10 +339,7 @@ void QueryServer::handle_connection(const int fd) {
     // worse — reject it visibly and close before it becomes an OOM.
     if (buffer.size() > options_.max_request_bytes) {
       obs::count(WireMetrics::instance().frame_rejected);
-      {
-        const std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.frame_rejected;
-      }
+      bump(tallies_.frame_rejected);
       (void)write_line(
           fd, render_error(0, "malformed: request line exceeds " +
                                   std::to_string(options_.max_request_bytes) +
@@ -351,13 +362,10 @@ void QueryServer::handle_connection(const int fd) {
         if (got <= 0) break;
         pending.append(chunk, static_cast<std::size_t>(got));
       }
-      for (const std::string& rejection : drain_reject_lines(pending)) {
+      for (std::string& rejection : drain_reject_lines(pending)) {
         obs::count(WireMetrics::instance().drain_rejected);
-        {
-          const std::lock_guard<std::mutex> lock(stats_mutex_);
-          ++stats_.drain_rejected;
-        }
-        if (!write_line(fd, rejection)) break;
+        bump(tallies_.drain_rejected);
+        if (!write_line(fd, std::move(rejection))) break;
       }
       break;
     }
@@ -370,10 +378,7 @@ void QueryServer::handle_connection(const int fd) {
               .count();
       if (idle_for > options_.idle_timeout_ms) {
         obs::count(WireMetrics::instance().idle_closed);
-        {
-          const std::lock_guard<std::mutex> lock(stats_mutex_);
-          ++stats_.idle_closed;
-        }
+        bump(tallies_.idle_closed);
         (void)write_line(
             fd, render_error(0, "timeout: connection idle beyond " +
                                     std::to_string(options_.idle_timeout_ms) +
@@ -496,8 +501,17 @@ void QueryServer::maybe_snapshot() noexcept {
 }
 
 QueryServer::Stats QueryServer::stats() const {
-  const std::lock_guard<std::mutex> lock(stats_mutex_);
-  return stats_;
+  const auto load = [](const std::atomic<std::uint64_t>& tally) {
+    return tally.load(std::memory_order_relaxed);
+  };
+  return {.requests = load(tallies_.requests),
+          .errors = load(tallies_.errors),
+          .rejected = load(tallies_.rejected),
+          .connections = load(tallies_.connections),
+          .frame_rejected = load(tallies_.frame_rejected),
+          .idle_closed = load(tallies_.idle_closed),
+          .drain_rejected = load(tallies_.drain_rejected),
+          .write_failures = load(tallies_.write_failures)};
 }
 
 }  // namespace linesearch::svc

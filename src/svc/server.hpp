@@ -31,8 +31,8 @@
 
 #include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "svc/query.hpp"
@@ -104,7 +104,8 @@ class QueryServer {
   /// The underlying query service (stats/backends inspection in tests).
   [[nodiscard]] QueryService& service() { return service_; }
 
-  /// Monotonic wire-level counters (also exported as svc.* obs metrics).
+  /// Monotonic wire-level counters (also exported as svc.* obs metrics),
+  /// as a snapshot of the live tallies.
   struct Stats {
     std::uint64_t requests = 0;  ///< lines received (including malformed)
     std::uint64_t errors = 0;    ///< {"ok":false} responses
@@ -124,10 +125,10 @@ class QueryServer {
   /// deadline/frame violation.
   void handle_connection(int fd);
 
-  /// Deadline/EPIPE-tolerant response write; false closes the
-  /// connection (and counts the failure) — never a signal, never a
-  /// parked worker.
-  bool write_line(int fd, const std::string& line);
+  /// Deadline/EPIPE-tolerant write of `line` plus its framing newline;
+  /// false closes the connection (and counts the failure) — never a
+  /// signal, never a parked worker.
+  bool write_line(int fd, std::string line);
 
   /// Write options_.snapshot_path if configured; failures are counted
   /// (svc.snapshot_rejected is the LOAD side; save failures throw
@@ -141,8 +142,19 @@ class QueryServer {
   std::atomic<bool> checkpoint_{false};
   std::atomic<std::size_t> inflight_{0};
 
-  mutable std::mutex stats_mutex_;
-  Stats stats_;
+  /// Live tallies behind stats(): relaxed atomics, since each counts on
+  /// its own and no reader needs them mutually consistent.
+  struct Tallies {
+    std::atomic<std::uint64_t> requests{0};
+    std::atomic<std::uint64_t> errors{0};
+    std::atomic<std::uint64_t> rejected{0};
+    std::atomic<std::uint64_t> connections{0};
+    std::atomic<std::uint64_t> frame_rejected{0};
+    std::atomic<std::uint64_t> idle_closed{0};
+    std::atomic<std::uint64_t> drain_rejected{0};
+    std::atomic<std::uint64_t> write_failures{0};
+  };
+  Tallies tallies_;
 };
 
 /// Parse one wire request into (id, query).  Throws PreconditionError on
@@ -161,7 +173,7 @@ struct WireRequest {
 [[nodiscard]] std::string render_response(long long id,
                                           const QueryResult& result);
 [[nodiscard]] std::string render_error(long long id,
-                                       const std::string& message);
+                                       std::string_view message);
 
 /// Best-effort id extraction from a request line: the id field if the
 /// line parses as a JSON object, else 0.  Error responses echo this, so

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <istream>
 #include <ostream>
+#include <string>
 
 #include "util/error.hpp"
 #include "util/format.hpp"
@@ -16,7 +17,7 @@ namespace {
 /// of CsvWriter::escape; embedded newlines are not supported because no
 /// writer in this library produces them inside numeric/series rows).
 std::vector<std::string> split_csv_line(const std::string& line,
-                                        const std::string& context) {
+                                        const int line_number) {
   std::vector<std::string> fields;
   std::string field;
   bool quoted = false;
@@ -42,7 +43,9 @@ std::vector<std::string> split_csv_line(const std::string& line,
       field += ch;
     }
   }
-  expects(!quoted, "csv: unterminated quote at " + context);
+  expects(!quoted, [line_number] {
+    return "csv: unterminated quote at line " + std::to_string(line_number);
+  });
   fields.push_back(std::move(field));
   return fields;
 }
@@ -65,7 +68,7 @@ Real parse_real_field(const std::string& field) {
   // strtold itself accepts "inf"/"infinity"/"nan" (any case, signed), so
   // the only job left is rejecting partial parses like "1.5x".
   expects(end != nullptr && *end == '\0',
-          "csv: malformed number '" + field + "'");
+          [&field] { return "csv: malformed number '" + field + "'"; });
   return value;
 }
 
@@ -107,8 +110,9 @@ std::vector<Series> read_series_csv(std::istream& in) {
   expects(static_cast<bool>(std::getline(in, line)),
           "csv: empty series input");
   if (!line.empty() && line.back() == '\r') line.pop_back();
-  expects(line == "series,x,y",
-          "csv: expected header 'series,x,y', got '" + line + "'");
+  expects(line == "series,x,y", [&line] {
+    return "csv: expected header 'series,x,y', got '" + line + "'";
+  });
 
   std::vector<Series> series;
   int line_number = 1;
@@ -116,9 +120,10 @@ std::vector<Series> read_series_csv(std::istream& in) {
     ++line_number;
     if (!line.empty() && line.back() == '\r') line.pop_back();
     if (line.empty()) continue;
-    const std::string context = "line " + std::to_string(line_number);
-    const std::vector<std::string> fields = split_csv_line(line, context);
-    expects(fields.size() == 3, "csv: expected 3 fields at " + context);
+    const std::vector<std::string> fields = split_csv_line(line, line_number);
+    expects(fields.size() == 3, [line_number] {
+      return "csv: expected 3 fields at line " + std::to_string(line_number);
+    });
 
     Series* current = nullptr;
     for (Series& s : series) {

@@ -19,14 +19,23 @@ std::string describe(const std::string_view message,
 
 }  // namespace
 
-void expects(const bool condition, const std::string_view message,
-             const std::source_location where) {
-  if (!condition) throw PreconditionError(describe(message, where));
+Error::Error(const std::string_view message,
+             const std::source_location& where)
+    : std::runtime_error(describe(message, where)),
+      message_size_(message.size()) {}
+
+namespace detail {
+
+void throw_precondition(const std::string_view message,
+                        const std::source_location& where) {
+  throw PreconditionError(message, where);
 }
 
-void ensures(const bool condition, const std::string_view message,
-             const std::source_location where) {
-  if (!condition) throw InvariantError(describe(message, where));
+void throw_invariant(const std::string_view message,
+                     const std::source_location& where) {
+  throw InvariantError(message, where);
 }
+
+}  // namespace detail
 
 }  // namespace linesearch

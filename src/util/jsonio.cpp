@@ -10,7 +10,7 @@
 
 namespace linesearch {
 
-std::string json_escape(const std::string& text) {
+std::string json_escape(const std::string_view text) {
   std::string out;
   out.reserve(text.size());
   for (const char ch : text) {
@@ -85,15 +85,18 @@ JsonWriter& JsonWriter::value(const char* text) {
   return value(std::string(text));
 }
 
-JsonWriter& JsonWriter::value(const Real number) {
-  separate();
+std::string json_real(const Real number) {
   // Non-finite values have no JSON literal; the shared codec spelling
   // goes out as a string so consumers see "inf" rather than invalid JSON.
   if (std::isnan(number) || std::isinf(number)) {
-    *out_ << '"' << encode_real_field(number) << '"';
-  } else {
-    *out_ << encode_real_field(number);
+    return '"' + encode_real_field(number) + '"';
   }
+  return encode_real_field(number);
+}
+
+JsonWriter& JsonWriter::value(const Real number) {
+  separate();
+  *out_ << json_real(number);
   return *this;
 }
 
@@ -141,19 +144,19 @@ long long JsonValue::as_int() const {
   char* end = nullptr;
   const long long parsed = std::strtoll(begin, &end, 10);
   expects(end != nullptr && *end == '\0',
-          "json: number is not an integer: " + text_);
+          [&] { return "json: number is not an integer: " + text_; });
   return parsed;
 }
 
 std::uint64_t JsonValue::as_uint64() const {
   expects(kind_ == Kind::kNumber, "json: value is not a number");
   expects(!text_.empty() && text_.front() != '-',
-          "json: number is negative: " + text_);
+          [&] { return "json: number is negative: " + text_; });
   const char* begin = text_.c_str();
   char* end = nullptr;
   const unsigned long long parsed = std::strtoull(begin, &end, 10);
   expects(end != nullptr && *end == '\0',
-          "json: number is not an unsigned integer: " + text_);
+          [&] { return "json: number is not an unsigned integer: " + text_; });
   return static_cast<std::uint64_t>(parsed);
 }
 
@@ -172,7 +175,7 @@ const JsonValue::Object& JsonValue::as_object() const {
   return *object_;
 }
 
-const JsonValue* JsonValue::find(const std::string& name) const {
+const JsonValue* JsonValue::find(const std::string_view name) const {
   expects(kind_ == Kind::kObject, "json: value is not an object");
   for (const auto& [key, member] : *object_) {
     if (key == name) return &member;
@@ -180,9 +183,11 @@ const JsonValue* JsonValue::find(const std::string& name) const {
   return nullptr;
 }
 
-const JsonValue& JsonValue::at(const std::string& name) const {
+const JsonValue& JsonValue::at(const std::string_view name) const {
   const JsonValue* found = find(name);
-  expects(found != nullptr, "json: missing key \"" + name + "\"");
+  expects(found != nullptr, [name] {
+    return "json: missing key \"" + std::string(name) + "\"";
+  });
   return *found;
 }
 
@@ -196,7 +201,7 @@ class JsonParser {
     JsonValue value = parse_value(0);
     skip_whitespace();
     expects(pos_ == text_->size(),
-            "json: trailing garbage at offset " + std::to_string(pos_));
+            [this] { return "json: trailing garbage at offset " + offset(); });
     return value;
   }
 
@@ -218,8 +223,13 @@ class JsonParser {
   }
 
   void consume(const char expected) {
-    expects(peek() == expected, std::string("json: expected '") + expected +
-                                    "' at offset " + offset());
+    // The reported offset is where the search began, before the
+    // whitespace peek() skips.
+    const std::size_t start = pos_;
+    expects(peek() == expected, [expected, start] {
+      return std::string("json: expected '") + expected + "' at offset " +
+             std::to_string(start);
+    });
     ++pos_;
   }
 
@@ -229,9 +239,9 @@ class JsonParser {
     return true;
   }
 
-  void consume_literal(const std::string& literal) {
+  void consume_literal(const std::string_view literal) {
     expects(text_->compare(pos_, literal.size(), literal) == 0,
-            "json: bad literal at offset " + offset());
+            [this] { return "json: bad literal at offset " + offset(); });
     pos_ += literal.size();
   }
 
@@ -304,8 +314,10 @@ class JsonParser {
       const char ch = (*text_)[pos_++];
       if (ch == '"') return out;
       if (ch != '\\') {
-        expects(static_cast<unsigned char>(ch) >= 0x20,
-                "json: raw control character in string at offset " + offset());
+        expects(static_cast<unsigned char>(ch) >= 0x20, [this] {
+          return "json: raw control character in string at offset " +
+                 offset();
+        });
         out += ch;
         continue;
       }
@@ -322,7 +334,8 @@ class JsonParser {
         case 't': out += '\t'; break;
         case 'u': out += parse_unicode_escape(); break;
         default:
-          expects(false, "json: bad escape at offset " + offset());
+          expects(false,
+                  [this] { return "json: bad escape at offset " + offset(); });
       }
     }
   }
@@ -340,14 +353,17 @@ class JsonParser {
       } else if (ch >= 'A' && ch <= 'F') {
         code |= static_cast<unsigned>(ch - 'A' + 10);
       } else {
-        expects(false, "json: bad \\u digit at offset " + offset());
+        expects(false, [this] {
+          return "json: bad \\u digit at offset " + offset();
+        });
       }
     }
     // UTF-8 encode.  The writer only emits \u00xx control escapes, but
     // arbitrary BMP code points from external clients decode correctly
     // (surrogate pairs are rejected rather than silently mangled).
-    expects(code < 0xD800 || code > 0xDFFF,
-            "json: surrogate escapes unsupported at offset " + offset());
+    expects(code < 0xD800 || code > 0xDFFF, [this] {
+      return "json: surrogate escapes unsupported at offset " + offset();
+    });
     std::string out;
     if (code < 0x80) {
       out += static_cast<char>(code);
@@ -372,7 +388,8 @@ class JsonParser {
              std::isdigit(static_cast<unsigned char>((*text_)[pos_])) != 0) {
         ++pos_;
       }
-      expects(pos_ > before, "json: expected digit at offset " + offset());
+      expects(pos_ > before,
+              [this] { return "json: expected digit at offset " + offset(); });
     };
     eat_digits();
     if (pos_ < text_->size() && (*text_)[pos_] == '.') {

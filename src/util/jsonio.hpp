@@ -20,6 +20,7 @@
 #include <memory>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -28,7 +29,11 @@
 namespace linesearch {
 
 /// Escape a string for inclusion inside JSON double quotes.
-[[nodiscard]] std::string json_escape(const std::string& text);
+[[nodiscard]] std::string json_escape(std::string_view text);
+
+/// A Real as JsonWriter::value(Real) spells it: a number, or the quoted
+/// codec string ("inf", "-inf", "nan") for a non-finite value.
+[[nodiscard]] std::string json_real(Real number);
 
 /// Streaming writer producing pretty-printed (2-space) JSON, or — in
 /// compact mode — a single line with no whitespace at all (the service
@@ -122,10 +127,10 @@ class JsonValue {
   [[nodiscard]] const Object& as_object() const;
 
   /// Lookup in an object: nullptr if `name` is absent (first match wins).
-  [[nodiscard]] const JsonValue* find(const std::string& name) const;
+  [[nodiscard]] const JsonValue* find(std::string_view name) const;
 
   /// Lookup in an object; throws PreconditionError if absent.
-  [[nodiscard]] const JsonValue& at(const std::string& name) const;
+  [[nodiscard]] const JsonValue& at(std::string_view name) const;
 
  private:
   friend class JsonParser;

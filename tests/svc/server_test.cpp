@@ -64,6 +64,18 @@ TEST(WireRequestParse, AppliesDefaultsAndOverrides) {
   EXPECT_TRUE(std::isinf(crash.query.crash_times[1]));
 }
 
+/// The message parse_request throws, without the " [file:line in
+/// function]" location suffix of what(); "(no error)" if it parses.
+std::string request_message(const std::string& line) {
+  try {
+    (void)parse_request(line);
+  } catch (const PreconditionError& error) {
+    const std::string what = error.what();
+    return what.substr(0, what.find(" ["));
+  }
+  return "(no error)";
+}
+
 TEST(WireRequestParse, RejectsMalformedInput) {
   EXPECT_THROW((void)parse_request("not json"), PreconditionError);
   EXPECT_THROW((void)parse_request(R"({"n": 3})"), PreconditionError);
@@ -71,6 +83,36 @@ TEST(WireRequestParse, RejectsMalformedInput) {
                PreconditionError);
   EXPECT_THROW((void)parse_request(R"({"op": "cr", "regime": "weird"})"),
                PreconditionError);
+
+  // Error responses carry these texts on the wire: pin each byte.
+  EXPECT_EQ(request_message("not json"), "json: bad literal at offset 0");
+  EXPECT_EQ(request_message(R"({"op": "cr"} x)"),
+            "json: trailing garbage at offset 13");
+  EXPECT_EQ(request_message(R"({"op" "cr"})"),
+            "json: expected ':' at offset 5");
+  EXPECT_EQ(request_message("{\"op\": \"c\x02\"}"),
+            "json: raw control character in string at offset 10");
+  EXPECT_EQ(request_message(R"({"op": "c\q"})"),
+            "json: bad escape at offset 11");
+  EXPECT_EQ(request_message(R"({"op": "\u00zz"})"),
+            "json: bad \\u digit at offset 13");
+  EXPECT_EQ(request_message(R"({"op": "\udc00"})"),
+            "json: surrogate escapes unsupported at offset 14");
+  EXPECT_EQ(request_message(R"({"op": "cr", "n": -})"),
+            "json: expected digit at offset 19");
+  EXPECT_EQ(request_message(R"({"op": "cr)"), "json: unterminated string");
+  EXPECT_EQ(request_message(R"({"n": 3})"), "json: missing key \"op\"");
+  EXPECT_EQ(request_message(R"({"op": "cr", "n": 2.5})"),
+            "json: number is not an integer: 2.5");
+  EXPECT_EQ(request_message(R"({"op": "cr", "f": 3000000000})"),
+            "svc: field 'f' out of int range");
+  EXPECT_EQ(request_message(R"({"op": "shutdown"})"),
+            "svc: unknown op 'shutdown' (valid: cr)");
+  EXPECT_EQ(request_message(R"({"op": "cr", "beta": "2.5x"})"),
+            "csv: malformed number '2.5x'");
+  EXPECT_EQ(request_message(R"({"op": "cr", "regime": "weird"})"),
+            "svc: unknown fault regime 'weird' "
+            "(valid: none, byzantine, crash, probabilistic)");
 }
 
 TEST(QueryServerHandleLine, MatchesTheDirectPath) {
@@ -196,10 +238,13 @@ class WireClient {
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
     }
   }
-  ~WireClient() {
-    if (fd_ >= 0) ::close(fd_);
-  }
+  ~WireClient() { close(); }
   [[nodiscard]] bool connected() const { return connected_; }
+  [[nodiscard]] int fd() const { return fd_; }
+  void close() {
+    if (fd_ >= 0) ::close(fd_);
+    fd_ = -1;
+  }
 
   [[nodiscard]] std::string round_trip(const std::string& line) {
     if (!send_raw(line + "\n")) return "";
@@ -331,6 +376,53 @@ TEST(QueryServerSocket, SurvivesAPeerThatClosesWithoutReading) {
   accept_loop.join();
   EXPECT_GE(server.stats().connections, 2u);
   EXPECT_GE(server.stats().write_failures, 1u);
+}
+
+/// The write deadline: a peer that keeps sending requests but never
+/// reads fills the server's socket buffer, so a response write stalls.
+/// After write_timeout_ms the server gives up on that connection and
+/// counts a write failure instead of parking a worker, and stop() still
+/// drains promptly.
+TEST(QueryServerSocket, WriteDeadlineDropsAPeerThatNeverReads) {
+  const std::string path = "/tmp/ls_svc_wdeadline_" +
+                           std::to_string(::getpid()) + ".sock";
+  QueryServerOptions options;
+  options.threads = 2;
+  options.write_timeout_ms = 50;
+  QueryServer server(options);
+  std::thread accept_loop([&server, &path] { server.serve(path); });
+
+  WireClient hoarder(path);
+  ASSERT_TRUE(hoarder.connected()) << "server never bound " << path;
+  std::string burst;
+  for (int id = 1; id <= 64; ++id) {
+    burst += R"({"id": )" + std::to_string(id) +
+             R"(, "op": "cr", "n": 3, "f": 1, "window_hi": 8})" + "\n";
+  }
+  // Non-blocking sends, so this thread never stalls on its own full
+  // buffer; keep feeding requests until the server gives up on us.
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server.stats().write_failures == 0 &&
+         std::chrono::steady_clock::now() < give_up) {
+    const ssize_t sent = ::send(hoarder.fd(), burst.data(), burst.size(),
+                                MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (sent < 0) std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  const bool dropped = server.stats().write_failures >= 1;
+  EXPECT_TRUE(dropped) << "the stalled write never hit its deadline";
+  // Without a working deadline the worker stays parked in send(); free
+  // it so the test ends with a failure instead of hanging.
+  if (!dropped) hoarder.close();
+
+  const auto stop_at = std::chrono::steady_clock::now();
+  server.stop();
+  accept_loop.join();
+  const auto drain_ms =
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::steady_clock::now() - stop_at)
+          .count();
+  EXPECT_LT(drain_ms, 2000) << "stop() did not drain promptly";
 }
 
 TEST(QueryServerSocket, OversizedFrameIsRejectedVisiblyThenClosed) {

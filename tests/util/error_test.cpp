@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace linesearch {
 namespace {
 
@@ -21,6 +23,43 @@ TEST(Expects, MessageContainsTextAndLocation) {
     EXPECT_NE(what.find("my-precondition"), std::string::npos);
     EXPECT_NE(what.find("error_test.cpp"), std::string::npos);
   }
+}
+
+TEST(Expects, MessageExcludesTheLocationThatWhatCarries) {
+  try {
+    expects(false, "my-precondition");
+    FAIL() << "should have thrown";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.message(), "my-precondition");
+    const std::string what = e.what();
+    EXPECT_EQ(what.rfind("my-precondition [", 0), 0u) << what;
+    EXPECT_NE(what.find("error_test.cpp:"), std::string::npos) << what;
+  }
+  // An error built without a location: the message is all of what().
+  const NumericError plain("no bracket");
+  EXPECT_EQ(plain.message(), "no bracket");
+  EXPECT_STREQ(plain.what(), "no bracket");
+}
+
+TEST(Expects, BuildsALazyMessageOnlyOnFailure) {
+  int built = 0;
+  const auto message = [&built] {
+    ++built;
+    return "lazy-" + std::to_string(42);
+  };
+  EXPECT_NO_THROW(expects(true, message));
+  EXPECT_NO_THROW(ensures(true, message));
+  EXPECT_EQ(built, 0);
+  try {
+    expects(false, message);
+    FAIL() << "should have thrown";
+  } catch (const PreconditionError& e) {
+    EXPECT_EQ(e.message(), "lazy-42");
+    EXPECT_NE(std::string(e.what()).find("error_test.cpp"),
+              std::string::npos);
+  }
+  EXPECT_THROW(ensures(false, message), InvariantError);
+  EXPECT_EQ(built, 2);
 }
 
 TEST(Ensures, ThrowsInvariantErrorOnFalse) {

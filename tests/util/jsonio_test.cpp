@@ -165,6 +165,23 @@ TEST(JsonParser, NonFiniteRealsRoundTripLosslessly) {
   EXPECT_EQ(doc.at("finite").as_real(), 0.1L + 0.2L);
 }
 
+/// The message a failed call throws as PreconditionError, without the
+/// " [file:line in function]" location suffix of what(); "(no error)"
+/// when the call returns normally.
+std::string precondition_message(const std::function<void()>& call) {
+  try {
+    call();
+  } catch (const PreconditionError& error) {
+    const std::string what = error.what();
+    return what.substr(0, what.find(" ["));
+  }
+  return "(no error)";
+}
+
+std::string parse_message(const std::string& text) {
+  return precondition_message([&text] { (void)parse_json(text); });
+}
+
 TEST(JsonParser, DecodesEscapesAndRejectsMalformedInput) {
   const JsonValue doc = parse_json(R"({"s": "a\"b\\c\ndA"})");
   EXPECT_EQ(doc.at("s").as_string(), "a\"b\\c\nd\x41");
@@ -177,6 +194,44 @@ TEST(JsonParser, DecodesEscapesAndRejectsMalformedInput) {
   EXPECT_THROW((void)parse_json("1 2"), PreconditionError);
   EXPECT_THROW((void)parse_json("\"unterminated"), PreconditionError);
   EXPECT_THROW((void)parse_json("01x"), PreconditionError);
+
+  // The message text of every failure kind is pinned byte for byte:
+  // error responses carry it on the wire.
+  EXPECT_EQ(parse_message(""), "json: unexpected end of input");
+  EXPECT_EQ(parse_message("1 2"), "json: trailing garbage at offset 2");
+  EXPECT_EQ(parse_message("01x"), "json: trailing garbage at offset 2");
+  // An expected-char offset is where the search began, before the
+  // whitespace in front of the offending byte.
+  EXPECT_EQ(parse_message("{\"a\" 1}"), "json: expected ':' at offset 4");
+  EXPECT_EQ(parse_message("[1 2]"), "json: expected ',' at offset 3");
+  EXPECT_EQ(parse_message("tru"), "json: bad literal at offset 0");
+  EXPECT_EQ(parse_message("nul"), "json: bad literal at offset 0");
+  EXPECT_EQ(parse_message("\"a\x01\""),
+            "json: raw control character in string at offset 3");
+  EXPECT_EQ(parse_message(R"("\q")"), "json: bad escape at offset 3");
+  EXPECT_EQ(parse_message(R"("\u00g0")"), "json: bad \\u digit at offset 6");
+  EXPECT_EQ(parse_message(R"("\u12")"), "json: truncated \\u escape");
+  EXPECT_EQ(parse_message(R"("\ud800")"),
+            "json: surrogate escapes unsupported at offset 7");
+  EXPECT_EQ(parse_message("[1,]"), "json: expected digit at offset 3");
+  EXPECT_EQ(parse_message("-x"), "json: expected digit at offset 1");
+  EXPECT_EQ(parse_message("1.e5"), "json: expected digit at offset 2");
+  EXPECT_EQ(parse_message("\"unterminated"), "json: unterminated string");
+  EXPECT_EQ(parse_message("\"a\\"), "json: unterminated escape");
+
+  const JsonValue object = parse_json(R"({"a": 1.5, "b": -1, "c": "x"})");
+  EXPECT_EQ(precondition_message([&] { (void)object.at("zz"); }),
+            "json: missing key \"zz\"");
+  EXPECT_EQ(precondition_message([&] { (void)object.at("a").as_int(); }),
+            "json: number is not an integer: 1.5");
+  EXPECT_EQ(precondition_message([&] { (void)object.at("b").as_uint64(); }),
+            "json: number is negative: -1");
+  EXPECT_EQ(precondition_message([&] { (void)object.at("a").as_uint64(); }),
+            "json: number is not an unsigned integer: 1.5");
+  EXPECT_EQ(precondition_message([&] { (void)object.at("c").as_real(); }),
+            "csv: malformed number 'x'");
+  EXPECT_EQ(precondition_message([&] { (void)object.at("c").as_int(); }),
+            "json: value is not a number");
 }
 
 TEST(JsonParser, BoundsNestingDepth) {
