@@ -22,7 +22,6 @@
 #include "eval/exact.hpp"
 #include "eval/expectation.hpp"
 #include "eval/kernels.hpp"
-#include "eval/visit_cache.hpp"
 #include "obs/perf_report.hpp"
 #include "runtime/injector.hpp"
 #include "runtime/supervisor.hpp"
@@ -190,19 +189,6 @@ void BM_KernelCrSoA(benchmark::State& state) {
   state.counters["simd"] = kernels::simd_compiled() ? 1 : 0;
 }
 BENCHMARK(BM_KernelCrSoA)->Unit(benchmark::kMillisecond);
-
-void BM_VisitCacheHit(benchmark::State& state) {
-  // Steady-state memo hit vs BM_DetectionTime's full recomputation.
-  const ProportionalAlgorithm algo(11, 10);
-  const Fleet fleet = algo.build_fleet(10000);
-  const FleetVisitCache cache(fleet);
-  Real x = 1;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(cache.detection_time(x, 10));
-    x = (x < 9e3L) ? x * 1.37L : 1;
-  }
-}
-BENCHMARK(BM_VisitCacheHit);
 
 void BM_Theorem2Root(benchmark::State& state) {
   int n = 2;

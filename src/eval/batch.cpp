@@ -1,34 +1,16 @@
 #include "eval/batch.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <map>
-#include <memory>
+#include <cstdint>
 
-#include "eval/visit_cache.hpp"
+#include "eval/kernels.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
 
 namespace linesearch {
-namespace {
-
-// One shared memo table per distinct fleet in the batch.  Built up front
-// (serially) so workers only ever read the map structure itself; the
-// caches' striped locks handle concurrent entry inserts.
-using CacheMap = std::map<const Fleet*, std::shared_ptr<FleetVisitCache>>;
-
-CacheMap build_caches(const std::vector<CrBatchJob>& jobs) {
-  CacheMap caches;
-  for (const CrBatchJob& job : jobs) {
-    if (caches.find(job.fleet) == caches.end()) {
-      caches.emplace(job.fleet, std::make_shared<FleetVisitCache>(*job.fleet));
-    }
-  }
-  return caches;
-}
-
-}  // namespace
 
 std::vector<CrEvalResult> measure_cr_batch(const std::vector<CrBatchJob>& jobs,
                                            const BatchOptions& batch) {
@@ -37,20 +19,10 @@ std::vector<CrEvalResult> measure_cr_batch(const std::vector<CrBatchJob>& jobs,
   }
   LS_OBS_SPAN("eval.batch.run");
   LS_OBS_COUNT("eval.batch.jobs", jobs.size());
-  const CacheMap caches = batch.use_cache ? build_caches(jobs) : CacheMap{};
-  LS_OBS_COUNT("eval.batch.cached_fleets", caches.size());
-
   return parallel_map(
       jobs.size(),
-      [&](const std::size_t i) {
+      [&jobs](const std::size_t i) {
         const CrBatchJob& job = jobs[i];
-        if (batch.use_cache) {
-          const FleetVisitCache& cache = *caches.at(job.fleet);
-          return detail::measure_cr_with(
-              *job.fleet, job.f, job.options, [&cache, &job](const Real x) {
-                return cache.detection_time(x, job.f);
-              });
-        }
         return measure_cr(*job.fleet, job.f, job.options);
       },
       batch.threads);
@@ -74,17 +46,31 @@ std::vector<Real> k_profile_batch(const Fleet& fleet, const int f,
   expects(f >= 0, "k_profile_batch: f must be >= 0");
   for (const Real x : positions) {
     expects(x != 0, "k_profile_batch: positions must be non-zero");
+    // The kernel sorts positions; NaN has no place in that order.
+    expects(!std::isnan(x), "k_profile_batch: positions must not be NaN");
   }
-  const FleetVisitCache cache(fleet);
-  return parallel_map(
-      positions.size(),
-      [&](const std::size_t i) {
-        const Real x = positions[i];
-        const Real time = batch.use_cache ? cache.detection_time(x, f)
-                                          : fleet.detection_time(x, f);
-        return time / std::fabs(x);
+  std::vector<Real> profile(positions.size());
+  const std::size_t slices = std::min(
+      static_cast<std::size_t>(resolve_thread_count(batch.threads)),
+      positions.size());
+  parallel_for(
+      slices,
+      [&](const std::size_t s) {
+        const std::size_t begin = s * positions.size() / slices;
+        const std::size_t end = (s + 1) * positions.size() / slices;
+        std::vector<std::uint32_t> slots;
+        const kernels::ProbeBatch probes = kernels::build_position_batch(
+            positions.data() + begin, end - begin, slots);
+        kernels::VisitColumns columns;
+        kernels::fill_visit_columns(fleet, f, probes, columns);
+        for (std::size_t j = 0; j < probes.size(); ++j) {
+          // The division k_profile does: detection_time(x, f) / |x|.
+          profile[begin + slots[j]] =
+              columns.detection[j] / probes.magnitudes[j];
+        }
       },
-      batch.threads);
+      static_cast<int>(slices));
+  return profile;
 }
 
 }  // namespace linesearch

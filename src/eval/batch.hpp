@@ -2,18 +2,17 @@
 //
 // Every reproduction in this repo reduces to evaluating K(x) =
 // T_{f+1}(x)/|x| over a grid of (fleet, f, window) points; this module
-// runs those points concurrently on the util/parallel pool while keeping
-// the results indistinguishable from the serial path:
+// is a thin parallel_map (util/parallel) over the SoA kernels of
+// eval/kernels, and its results are indistinguishable from the serial
+// path:
 //
-//   * jobs fan out across workers, results land in JOB ORDER
+//   * measure_cr_batch fans jobs out across workers, each job one
+//     kernel measure_cr scan, and results land in JOB ORDER
 //     (parallel_map writes slot i from the worker that ran job i), so any
 //     downstream argmax/tie-break scan sees the serial sequence;
-//   * each job runs the EXACT probe scan of eval/cr_eval
-//     (detail::measure_cr_with) against a memoized detection oracle
-//     (eval/visit_cache) shared by all jobs over the same fleet — probe
-//     positions repeat massively across (n, f) sweeps, and the memo value
-//     is a deterministic function of the position, so caching changes
-//     wall-clock, never results;
+//   * k_profile_batch gives each worker one contiguous slice of the
+//     positions and fills the slice with a single batched frontier sweep
+//     per robot (kernels::fill_visit_columns);
 //   * thread count comes from BatchOptions::threads, the
 //     LINESEARCH_THREADS env var, or the hardware, in that order; 1 means
 //     fully serial (no thread ever spawned), and any other count is
@@ -30,8 +29,7 @@ namespace linesearch {
 
 /// One unit of batched CR work: measure `fleet` with fault budget `f`
 /// over `options`'s window.  The fleet pointer must stay valid for the
-/// duration of the batch call; jobs may freely share fleets (sharing is
-/// what makes the visit cache pay off).
+/// duration of the batch call; jobs may freely share fleets.
 struct CrBatchJob {
   const Fleet* fleet = nullptr;
   int f = 0;
@@ -42,8 +40,6 @@ struct CrBatchJob {
 struct BatchOptions {
   /// Worker count; 0 defers to LINESEARCH_THREADS, then the hardware.
   int threads = 0;
-  /// Memoize per-robot first-visit times across jobs on the same fleet.
-  bool use_cache = true;
 };
 
 /// Evaluate every job; result i corresponds to jobs[i].  Bit-identical
@@ -57,8 +53,9 @@ struct BatchOptions {
     const Fleet& fleet, const std::vector<int>& fault_budgets,
     const CrEvalOptions& options = {}, const BatchOptions& batch = {});
 
-/// Batched K(x) profile: k_profile with the positions fanned out across
-/// workers and first visits memoized.  Entries match k_profile exactly.
+/// Batched K(x) profile: k_profile with the positions split into one
+/// contiguous slice per worker, each slice swept by the kernel.  Entries
+/// match k_profile exactly.  Positions must be non-zero and not NaN.
 [[nodiscard]] std::vector<Real> k_profile_batch(
     const Fleet& fleet, int f, const std::vector<Real>& positions,
     const BatchOptions& batch = {});

@@ -13,10 +13,11 @@
 // All probes use the fleet's exact detection_time; the only approximation
 // is the eps offset (relative 1e-9).
 //
-// The probe scan itself is detection-oracle-agnostic (detail::
-// measure_cr_with): the batch engine in eval/batch.hpp runs the same scan
-// against a memoized oracle, so both paths share one implementation and
-// produce bit-identical results.
+// measure_cr runs the scan on the SoA kernels (eval/kernels).  The
+// scalar scan stays as detail::measure_cr_with, parameterized over the
+// detection oracle: driven by direct Fleet::detection_time queries it
+// is the reference the kernel must match bit for bit.  The batch engine
+// (eval/batch.hpp) is a parallel_map over measure_cr.
 #pragma once
 
 #include <functional>
@@ -69,7 +70,7 @@ namespace detail {
 using DetectionOracle = std::function<Real(Real x)>;
 
 /// The probe magnitudes measure_cr evaluates on one half-line (exposed
-/// for the batch engine and tests).
+/// for the kernels and tests).
 [[nodiscard]] std::vector<Real> probe_magnitudes(const Fleet& fleet,
                                                  int side,
                                                  const CrEvalOptions& options);

@@ -28,6 +28,26 @@ ProbeBatch build_probe_batch(const Fleet& fleet,
   return batch;
 }
 
+ProbeBatch build_position_batch(const Real* positions,
+                                const std::size_t count,
+                                std::vector<std::uint32_t>& slots) {
+  ProbeBatch batch;
+  batch.magnitudes.reserve(count);
+  batch.sides.reserve(count);
+  slots.clear();
+  slots.reserve(count);
+  for (const int side : {+1, -1}) {
+    for (std::size_t i = 0; i < count; ++i) {
+      if ((positions[i] > 0) != (side > 0)) continue;
+      batch.magnitudes.push_back(std::fabs(positions[i]));
+      batch.sides.push_back(static_cast<std::int8_t>(side));
+      slots.push_back(static_cast<std::uint32_t>(i));
+    }
+    if (side > 0) batch.positive_count = batch.size();
+  }
+  return batch;
+}
+
 void fill_visit_columns(const Fleet& fleet, const int f,
                         const ProbeBatch& batch, VisitColumns& columns) {
   expects(f >= 0, "fill_visit_columns: f must be >= 0");
@@ -45,8 +65,9 @@ void fill_visit_columns(const Fleet& fleet, const int f,
   // signed positions directly would hand introsort an organ-pipe input
   // that degenerates to heapsort), then the negative side is reversed
   // into place: descending magnitude = ascending signed position.
-  // Magnitudes are positive and exact-deduplicated per side, so the
-  // order is strict and unambiguous.
+  // Magnitudes are positive; ties (repeated positions in an explicit
+  // position batch) may land in either order, which is harmless: tied
+  // probes share one signed position and hence one detection time.
   const Real* magnitudes = batch.magnitudes.data();
   const std::int8_t* sides = batch.sides.data();
   const std::size_t positives = batch.positive_count;

@@ -36,9 +36,10 @@
 
 namespace linesearch::kernels {
 
-/// SoA probe layout for one CR scan: parallel arrays over BOTH
-/// half-lines, in the scalar scan's emission order (side +1 first).
-/// Magnitudes are window-clamped and exact-deduplicated per side.
+/// SoA probe layout: parallel arrays over BOTH half-lines, side +1
+/// first.  For a CR scan the order is the scalar scan's emission order
+/// and magnitudes are window-clamped and exact-deduplicated per side;
+/// an explicit position batch may repeat magnitudes.
 struct ProbeBatch {
   std::vector<Real> magnitudes;    ///< |x| per probe, emission order
   std::vector<std::int8_t> sides;  ///< +1 / -1, parallel to magnitudes
@@ -51,6 +52,14 @@ struct ProbeBatch {
 /// detail::probe_magnitudes pass per side, concatenated with side tags).
 [[nodiscard]] ProbeBatch build_probe_batch(const Fleet& fleet,
                                            const CrEvalOptions& options);
+
+/// Probe batch over explicit non-zero signed positions (the k_profile
+/// shape): positive positions first, then negative, each side in input
+/// order.  `slots` receives the input index of every probe, so entry j
+/// of the batch answers positions[slots[j]].
+[[nodiscard]] ProbeBatch build_position_batch(
+    const Real* positions, std::size_t count,
+    std::vector<std::uint32_t>& slots);
 
 /// SoA visit-time columns for a probe batch.  `detection` is the result
 /// (parallel to the batch arrays, emission order); the remaining members

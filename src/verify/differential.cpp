@@ -11,7 +11,6 @@
 #include "eval/expectation.hpp"
 #include "eval/kernels.hpp"
 #include "eval/montecarlo.hpp"
-#include "eval/visit_cache.hpp"
 #include "runtime/arbitration.hpp"
 #include "runtime/world.hpp"
 #include "sim/faults.hpp"
@@ -78,12 +77,16 @@ DifferentialResult diff_batch_threads(const std::vector<CrBatchJob>& jobs,
           "diff_batch_threads: need at least one thread count");
   const std::vector<CrEvalResult> reference =
       measure_cr_batch(jobs, {.threads = options.thread_counts.front()});
-  // The serial measure_cr path is part of the race too: the batch layer
-  // promises to be indistinguishable from it, not just self-consistent.
+  // The batch must also be indistinguishable from the scalar reference
+  // scan over direct Fleet queries (the oracle diff_scalar_vs_simd uses),
+  // a path that shares none of the kernel code the batch runs.
   for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const CrEvalResult serial =
-        measure_cr(*jobs[i].fleet, jobs[i].f, jobs[i].options);
-    compare_results(result, i, serial, reference[i]);
+    const CrBatchJob& job = jobs[i];
+    const CrEvalResult scalar = detail::measure_cr_with(
+        *job.fleet, job.f, job.options, [&job](const Real x) {
+          return job.fleet->detection_time(x, job.f);
+        });
+    compare_results(result, i, scalar, reference[i]);
   }
   for (std::size_t t = 1; t < options.thread_counts.size(); ++t) {
     const std::vector<CrEvalResult> candidate =
@@ -96,41 +99,6 @@ DifferentialResult diff_batch_threads(const std::vector<CrBatchJob>& jobs,
     result.message += " (+" +
                       std::to_string(result.mismatches.size() - 1) +
                       " more mismatches)";
-  }
-  return result;
-}
-
-DifferentialResult diff_cache_on_off(const std::vector<CrBatchJob>& jobs,
-                                     const int threads) {
-  DifferentialResult result;
-  result.name = "cache_on_off";
-  const std::vector<CrEvalResult> cached =
-      measure_cr_batch(jobs, {.threads = threads, .use_cache = true});
-  const std::vector<CrEvalResult> uncached =
-      measure_cr_batch(jobs, {.threads = threads, .use_cache = false});
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    compare_results(result, i, uncached[i], cached[i]);
-  }
-  return result;
-}
-
-DifferentialResult diff_cache_direct(const Fleet& fleet, const int f,
-                                     const std::vector<Real>& positions) {
-  DifferentialResult result;
-  result.name = "cache_direct";
-  if (positions.empty()) {
-    result.applicable = false;
-    return result;
-  }
-  const FleetVisitCache cache(fleet);
-  for (int round = 0; round < 2; ++round) {  // cold, then memoized
-    for (std::size_t i = 0; i < positions.size(); ++i) {
-      const Real direct = fleet.detection_time(positions[i], f);
-      const Real memoized = cache.detection_time(positions[i], f);
-      if (!value_identical(direct, memoized)) {
-        record(result, i, round == 0 ? "cold" : "warm", direct, memoized);
-      }
-    }
   }
   return result;
 }
@@ -172,7 +140,8 @@ DifferentialResult diff_probe_vs_exact(const Fleet& fleet, const int f,
 
 DifferentialResult diff_exact_vs_grid(const Fleet& fleet, const int f,
                                       const CrEvalOptions& eval,
-                                      const DifferentialOptions& options) {
+                                      const DifferentialOptions& options,
+                                      const std::vector<Real>& targets) {
   DifferentialResult result;
   result.name = "exact_vs_grid";
   const ExactCrResult certified =
@@ -193,6 +162,12 @@ DifferentialResult diff_exact_vs_grid(const Fleet& fleet, const int f,
     positions.push_back(-m);
     magnitude *= ratio;
   }
+  // The targets join the batch-vs-serial profile check only: a shrunk
+  // window may leave them outside the certified range.
+  const std::size_t grid = positions.size();
+  for (const Real x : targets) {
+    if (x != 0) positions.push_back(x);
+  }
   const std::vector<Real> profile =
       k_profile_batch(fleet, f, positions, {.threads = 2});
   const std::vector<Real> serial_profile = k_profile(fleet, f, positions);
@@ -200,7 +175,7 @@ DifferentialResult diff_exact_vs_grid(const Fleet& fleet, const int f,
     if (!value_identical(profile[i], serial_profile[i])) {
       record(result, i, "k_profile(parallel)", serial_profile[i], profile[i]);
     }
-    if (std::isinf(serial_profile[i])) continue;
+    if (i >= grid || std::isinf(serial_profile[i])) continue;
     if (serial_profile[i] > certified.cr * (1 + options.sample_tol)) {
       record(result, i, "k>certified_sup", serial_profile[i], certified.cr);
       result.message += " at x=" + real_str(positions[i]);
@@ -636,7 +611,7 @@ std::vector<DifferentialResult> run_differentials(
     const Fleet& fleet, const int f, const CrEvalOptions& eval,
     const std::vector<Real>& targets, const DifferentialOptions& options) {
   // The thread race uses a small (f', window) sweep around the instance,
-  // the shape real sweeps have, so the cache sees cross-job sharing.
+  // the shape real sweeps have: several jobs over one shared fleet.
   std::vector<CrBatchJob> jobs;
   const int n = static_cast<int>(fleet.size());
   for (const int g : {0, f, n - 1}) {
@@ -647,15 +622,8 @@ std::vector<DifferentialResult> run_differentials(
 
   std::vector<DifferentialResult> results;
   results.push_back(diff_batch_threads(jobs, options));
-  results.push_back(diff_cache_on_off(jobs));
-  std::vector<Real> positions = targets;
-  if (positions.empty()) {
-    positions = {eval.window_lo, -eval.window_lo, eval.window_hi,
-                 -eval.window_hi};
-  }
-  results.push_back(diff_cache_direct(fleet, f, positions));
   results.push_back(diff_probe_vs_exact(fleet, f, eval, options));
-  results.push_back(diff_exact_vs_grid(fleet, f, eval, options));
+  results.push_back(diff_exact_vs_grid(fleet, f, eval, options, targets));
   results.push_back(diff_scalar_vs_simd(fleet, f, eval));
   return results;
 }

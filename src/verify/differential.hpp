@@ -4,14 +4,16 @@
 // The library computes sup K(x) = T_{f+1}(x)/|x| through four routes
 // that share no implementation beyond the Fleet queries:
 //
-//   serial probe scan  (eval/cr_eval measure_cr)
-//   batched probe scan (eval/batch, any thread count, memoized oracle)
+//   scalar probe scan  (eval/cr_eval detail::measure_cr_with, direct
+//                       Fleet::detection_time oracle)
+//   SoA kernel scan    (eval/kernels: measure_cr, and eval/batch at any
+//                       thread count)
 //   certified suprema  (eval/exact, probe-free)
 //   dense grid sweep   (eval/batch k_profile over a geometric grid)
 //
 // Differential engines demand the right relation between each pair:
-// bit-identical where the contract is exact (thread counts, cache
-// on/off, memo vs direct), tolerance-bounded where an epsilon is part of
+// bit-identical where the contract is exact (scalar vs kernel, thread
+// counts), tolerance-bounded where an epsilon is part of
 // the design (probe scan sits 1e-9 below the certified sup; a finite
 // grid sits at or below it).  A mismatch produces a structured report
 // naming the job, the field and both values, so a fuzzer failure is
@@ -64,22 +66,14 @@ struct DifferentialOptions {
   /// Grid density per side for the dense-sweep cross-check.
   int grid_points = 64;
   /// Thread counts the batch engine is raced at (first is reference).
-  std::vector<int> thread_counts = {1, 2, 8};
+  std::vector<int> thread_counts = {1, 2, 3, 8};
 };
 
-/// Batch engine vs itself across thread counts: every CrEvalResult field
-/// bit-identical to the serial (threads = 1) reference.
+/// Batch engine vs the scalar reference scan (detail::measure_cr_with
+/// over direct Fleet::detection_time queries) and vs itself across
+/// thread counts: every CrEvalResult field bit-identical.
 [[nodiscard]] DifferentialResult diff_batch_threads(
     const std::vector<CrBatchJob>& jobs, const DifferentialOptions& options = {});
-
-/// Cached vs uncached batch paths at a fixed thread count: bit-identical.
-[[nodiscard]] DifferentialResult diff_cache_on_off(
-    const std::vector<CrBatchJob>& jobs, int threads = 8);
-
-/// Memoized FleetVisitCache::detection_time vs direct Fleet queries at
-/// explicit positions (queried twice: cold, then warm): bit-identical.
-[[nodiscard]] DifferentialResult diff_cache_direct(
-    const Fleet& fleet, int f, const std::vector<Real>& positions);
 
 /// Probe scan vs certified suprema: measured <= certified (a probe is a
 /// sample of the sup) and certified - measured <= probe_gap_tol relative.
@@ -88,10 +82,13 @@ struct DifferentialOptions {
     const DifferentialOptions& options = {});
 
 /// Dense geometric K(x) grid vs certified suprema: every grid sample
-/// <= certified sup (within round-off).
+/// <= certified sup (within round-off).  The kernel k_profile_batch must
+/// also match serial k_profile bitwise on the grid and on `targets`
+/// (non-zero entries; repeats allowed).
 [[nodiscard]] DifferentialResult diff_exact_vs_grid(
     const Fleet& fleet, int f, const CrEvalOptions& eval,
-    const DifferentialOptions& options = {});
+    const DifferentialOptions& options = {},
+    const std::vector<Real>& targets = {});
 
 /// Dense vs analytic backend: build the strategy both ways and demand
 /// (a) the shared waypoint prefix (up to 64 entries per robot) is
@@ -189,8 +186,10 @@ struct DifferentialOptions {
 [[nodiscard]] DifferentialResult diff_scalar_vs_simd(
     const Fleet& fleet, int f, const CrEvalOptions& eval);
 
-/// Run every engine above on one (fleet, f, window) instance.  `targets`
-/// adds fuzzer-chosen positions to the memo-vs-direct check.
+/// Run the fleet-level engines (batch_threads, probe_vs_exact,
+/// exact_vs_grid, scalar_vs_simd) on one (fleet, f, window) instance.
+/// `targets` adds fuzzer-chosen positions to exact_vs_grid's profile
+/// check.
 [[nodiscard]] std::vector<DifferentialResult> run_differentials(
     const Fleet& fleet, int f, const CrEvalOptions& eval,
     const std::vector<Real>& targets = {},

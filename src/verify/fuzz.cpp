@@ -292,7 +292,8 @@ FuzzInstance generate_instance(const std::uint64_t seed) {
   }
   if (instance.kind == FleetKind::kKernelSoA) {
     // Exact duplicates on purpose: the SoA kernel's first-occurrence
-    // dedup and the visit cache must treat a repeated position as one.
+    // dedup, and k_profile_batch's kernel slices (raced against serial
+    // k_profile on these targets), must treat a repeated position as one.
     const std::size_t unique_targets = instance.targets.size();
     for (std::size_t i = 0; i < unique_targets && i < 4; ++i) {
       instance.targets.push_back(instance.targets[i]);

@@ -1,6 +1,6 @@
-// Tests for eval/batch.hpp and eval/visit_cache.hpp — the parallel
-// batched CR engine.  The load-bearing property is DETERMINISM: any
-// thread count must reproduce the serial path bit-for-bit.
+// Tests for eval/batch.hpp — the parallel batched CR engine over the SoA
+// kernels.  The load-bearing property is DETERMINISM: any thread count
+// must reproduce the serial path bit-for-bit.
 #include "eval/batch.hpp"
 
 #include <gtest/gtest.h>
@@ -14,7 +14,6 @@
 
 #include "core/algorithm.hpp"
 #include "core/baselines.hpp"
-#include "eval/visit_cache.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
 
@@ -103,17 +102,26 @@ TEST(MeasureCrBatch, EnvThreadCountsAreBitIdentical) {
   }
 }
 
-TEST(MeasureCrBatch, CacheOnAndOffAgreeBitwise) {
+TEST(MeasureCrBatch, MatchesScalarReferenceScanBitwise) {
+  // The independent reference: the scalar probe scan over direct Fleet
+  // queries, which shares no code with the kernel the batch runs.
   const ProportionalAlgorithm algo(5, 2);
   const Fleet fleet = algo.build_fleet(600);
   const std::vector<CrBatchJob> jobs = table1_style_jobs(fleet, 5);
-  const std::vector<CrEvalResult> cached =
-      measure_cr_batch(jobs, {.threads = 4, .use_cache = true});
-  const std::vector<CrEvalResult> uncached =
-      measure_cr_batch(jobs, {.threads = 4, .use_cache = false});
+  const std::vector<CrEvalResult> batched =
+      measure_cr_batch(jobs, {.threads = 4});
   for (std::size_t i = 0; i < jobs.size(); ++i) {
-    EXPECT_TRUE(bit_identical(cached[i].cr, uncached[i].cr)) << i;
-    EXPECT_TRUE(bit_identical(cached[i].argmax, uncached[i].argmax)) << i;
+    const int f = jobs[i].f;
+    const CrEvalResult scalar = detail::measure_cr_with(
+        fleet, f, jobs[i].options,
+        [&fleet, f](const Real x) { return fleet.detection_time(x, f); });
+    EXPECT_TRUE(bit_identical(batched[i].cr, scalar.cr)) << i;
+    EXPECT_TRUE(bit_identical(batched[i].argmax, scalar.argmax)) << i;
+    EXPECT_TRUE(bit_identical(batched[i].cr_positive, scalar.cr_positive))
+        << i;
+    EXPECT_TRUE(bit_identical(batched[i].cr_negative, scalar.cr_negative))
+        << i;
+    EXPECT_EQ(batched[i].probes, scalar.probes) << i;
   }
 }
 
@@ -159,41 +167,112 @@ TEST(KProfileBatch, MatchesSerialKProfile) {
   }
 }
 
-TEST(VisitCache, MatchesUncachedDetectionBitwise) {
-  const ProportionalAlgorithm algo(5, 3);
-  const Fleet fleet = algo.build_fleet(300);
-  const FleetVisitCache cache(fleet);
-  for (const Real x : {1.0L, -2.5L, 17.0L, -63.0L, 1.0000000001L}) {
-    for (int f = 0; f < 5; ++f) {
-      const Real expected = fleet.detection_time(x, f);
-      const Real first = cache.detection_time(x, f);   // cold
-      const Real second = cache.detection_time(x, f);  // memoized
-      EXPECT_TRUE(bit_identical(expected, first));
-      EXPECT_TRUE(bit_identical(first, second));
+/// k_profile_batch at each thread count must reproduce serial k_profile
+/// entry for entry, bitwise.
+void expect_profile_matches_serial(const Fleet& fleet, const int f,
+                                   const std::vector<Real>& positions) {
+  const std::vector<Real> serial = k_profile(fleet, f, positions);
+  for (const int threads : {1, 3, 8}) {
+    const std::vector<Real> batched =
+        k_profile_batch(fleet, f, positions, {.threads = threads});
+    ASSERT_EQ(batched.size(), serial.size()) << threads << " threads";
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      EXPECT_TRUE(bit_identical(serial[i], batched[i]))
+          << "position " << i << " at " << threads << " threads";
     }
   }
-  EXPECT_GT(cache.hits(), 0u);
-  EXPECT_GT(cache.misses(), 0u);
 }
 
-TEST(VisitCache, WarmPhasePopulatesEntries) {
-  const GroupDoubling pack(2, 1);
-  const Fleet fleet = pack.build_fleet(200);
-  const FleetVisitCache cache(fleet);
-  cache.warm({1.0L, 2.0L, 3.0L});
-  const std::size_t misses_after_warm = cache.misses();
-  (void)cache.detection_time(2.0L, 0);
-  EXPECT_EQ(cache.misses(), misses_after_warm);  // pure hits
-  EXPECT_GE(cache.hits(), fleet.size());
+TEST(KProfileBatch, InterleavedSignsKeepInputOrder) {
+  const Fleet fleet = ProportionalAlgorithm(5, 2).build_fleet(300);
+  std::vector<Real> positions;
+  for (int i = 1; i <= 97; ++i) {
+    // Irregular sign pattern and non-monotone magnitudes, so the slot
+    // map back to input order is really exercised.
+    const Real magnitude = 1 + 0.37L * static_cast<Real>((i * 31) % 97);
+    positions.push_back(i % 3 == 0 ? -magnitude : magnitude);
+  }
+  expect_profile_matches_serial(fleet, 2, positions);
 }
 
-TEST(VisitCache, ConcurrentReadersAreRaceFreeAndConsistent) {
-  // TSAN-facing stress test: 8 threads hammer one shared cache over an
-  // overlapping probe set (every value is recomputed-or-memoized under
-  // the striped locks).  Run under -fsanitize=thread in the CI tsan job.
+TEST(KProfileBatch, ExactDuplicatePositions) {
+  const Fleet fleet = ProportionalAlgorithm(3, 1).build_fleet(200);
+  const std::vector<Real> positions = {2.5L,  -4.0L, 2.5L, 7.0L, -4.0L,
+                                       2.5L,  1.0L,  1.0L, -1.0L, 7.0L,
+                                       -4.0L, 33.0L, 33.0L};
+  expect_profile_matches_serial(fleet, 1, positions);
+}
+
+TEST(KProfileBatch, PositionsPastDenseExtentAreUndetected) {
+  const Fleet fleet = ProportionalAlgorithm(3, 1).build_fleet(16);
+  const std::vector<Real> positions = {3.0L, -5.0L, 4096.0L, -4096.0L,
+                                       1e6L, 2.0L};
+  expect_profile_matches_serial(fleet, 1, positions);
+  const std::vector<Real> batched =
+      k_profile_batch(fleet, 1, positions, {.threads = 3});
+  EXPECT_EQ(batched[2], kInfinity);
+  EXPECT_EQ(batched[3], kInfinity);
+  EXPECT_EQ(batched[4], kInfinity);
+}
+
+TEST(KProfileBatch, FaultBudgetAtLeastFleetSizeIsAllInfinite) {
+  const Fleet fleet = ProportionalAlgorithm(3, 1).build_fleet(64);
+  const std::vector<Real> positions = {1.0L, -2.0L, 9.5L, -30.0L};
+  for (const int f : {3, 4, 10}) {
+    expect_profile_matches_serial(fleet, f, positions);
+    for (const Real entry :
+         k_profile_batch(fleet, f, positions, {.threads = 8})) {
+      EXPECT_EQ(entry, kInfinity) << "f = " << f;
+    }
+  }
+}
+
+TEST(KProfileBatch, AnalyticUnboundedFleet) {
+  const Fleet fleet = ProportionalAlgorithm(5, 3).build_unbounded_fleet();
+  std::vector<Real> positions;
+  for (Real x = 1; x < 5000; x *= 1.7L) {
+    positions.push_back(x);
+    positions.push_back(-x * 1.01L);
+  }
+  expect_profile_matches_serial(fleet, 3, positions);
+}
+
+TEST(KProfileBatch, FewerPositionsThanThreads) {
+  const Fleet fleet = ProportionalAlgorithm(5, 2).build_fleet(100);
+  expect_profile_matches_serial(fleet, 2, {-3.25L});
+  expect_profile_matches_serial(fleet, 2, {6.0L, -1.5L});
+}
+
+TEST(KProfileBatch, RejectsZeroPositionAndNegativeFaultBudget) {
+  const Fleet fleet = ProportionalAlgorithm(3, 1).build_fleet(64);
+  for (const int threads : {1, 3, 8}) {
+    EXPECT_THROW(
+        (void)k_profile_batch(fleet, 1, {1.0L, 0.0L}, {.threads = threads}),
+        PreconditionError);
+    EXPECT_THROW(
+        (void)k_profile_batch(fleet, -1, {1.0L}, {.threads = threads}),
+        PreconditionError);
+  }
+}
+
+TEST(KProfileBatch, RejectsNaNPosition) {
+  // The kernel sorts each slice by position, and NaN has no place in
+  // that order, so it is refused up front.
+  const Fleet fleet = ProportionalAlgorithm(3, 1).build_fleet(64);
+  for (const int threads : {1, 3, 8}) {
+    EXPECT_THROW((void)k_profile_batch(fleet, 1, {2.0L, std::nanl("")},
+                                       {.threads = threads}),
+                 PreconditionError);
+  }
+}
+
+TEST(KProfileBatch, ConcurrentCallersShareOneFleet) {
+  // TSAN-facing stress test: 8 threads run pooled k_profile_batch calls
+  // over one shared fleet and an overlapping position set (the kernel
+  // sweeps only read the fleet).  Run under -fsanitize=thread in the CI
+  // tsan job.
   const ProportionalAlgorithm algo(5, 3);
   const Fleet fleet = algo.build_fleet(500);
-  const FleetVisitCache cache(fleet);
 
   std::vector<Real> positions;
   for (int i = 1; i <= 400; ++i) {
@@ -204,61 +283,23 @@ TEST(VisitCache, ConcurrentReadersAreRaceFreeAndConsistent) {
   std::vector<std::vector<Real>> per_thread(8);
   std::vector<std::thread> workers;
   for (std::size_t t = 0; t < per_thread.size(); ++t) {
-    workers.emplace_back([&cache, &positions, &per_thread, t] {
-      std::vector<Real>& mine = per_thread[t];
-      mine.reserve(positions.size());
-      for (const Real x : positions) {
-        mine.push_back(cache.detection_time(x, 3));
-      }
+    workers.emplace_back([&fleet, &positions, &per_thread, t] {
+      per_thread[t] = k_profile_batch(fleet, 3, positions, {.threads = 2});
     });
   }
   for (std::thread& w : workers) w.join();
 
+  const std::vector<Real> serial = k_profile(fleet, 3, positions);
   for (std::size_t i = 0; i < positions.size(); ++i) {
-    const Real expected = fleet.detection_time(positions[i], 3);
     for (const std::vector<Real>& mine : per_thread) {
-      ASSERT_TRUE(bit_identical(mine[i], expected)) << "position " << i;
+      ASSERT_TRUE(bit_identical(mine[i], serial[i])) << "position " << i;
     }
   }
-}
-
-TEST(VisitCache, QuantizationCollisionBypassesTheCache) {
-  // Two positions distinct as long doubles but IDENTICAL once quantized
-  // to double (2^-60 is below double's 52-bit mantissa at magnitude 1):
-  // the cache must detect the key collision and fall back to the exact
-  // query, bit-identical to the uncached path, in both query orders.
-  const Fleet fleet = ProportionalAlgorithm(5, 2).build_fleet(64);
-  const Real x1 = 1.0L;
-  const Real x2 = 1.0L + ldexpl(1.0L, -60);
-  ASSERT_NE(x1, x2);
-  ASSERT_EQ(static_cast<double>(x1), static_cast<double>(x2));
-
-  const FleetVisitCache cache(fleet);
-  for (int round = 0; round < 2; ++round) {  // cold, then warm
-    for (int f = 0; f < 5; ++f) {
-      ASSERT_TRUE(bit_identical(cache.detection_time(x1, f),
-                                fleet.detection_time(x1, f)))
-          << "round " << round << " f " << f;
-      ASSERT_TRUE(bit_identical(cache.detection_time(x2, f),
-                                fleet.detection_time(x2, f)))
-          << "round " << round << " f " << f;
-    }
-    for (RobotId id = 0; id < fleet.size(); ++id) {
-      const std::vector<Real> direct1 = fleet.first_visit_times(x1);
-      const std::vector<Real> direct2 = fleet.first_visit_times(x2);
-      ASSERT_TRUE(bit_identical(cache.first_visit(id, x1), direct1[id]));
-      ASSERT_TRUE(bit_identical(cache.first_visit(id, x2), direct2[id]));
-    }
-  }
-  // At least one miss per distinct exact position: the collision cannot
-  // have served x2 from x1's entry.
-  EXPECT_GE(cache.misses(), 2u);
 }
 
 TEST(MeasureCrBatch, EmptyJobListYieldsEmptyResults) {
   EXPECT_TRUE(measure_cr_batch({}).empty());
   EXPECT_TRUE(measure_cr_batch({}, {.threads = 8}).empty());
-  EXPECT_TRUE(measure_cr_batch({}, {.threads = 8, .use_cache = false}).empty());
 }
 
 TEST(MeasureCrBatch, MoreThreadsThanJobsStaysBitIdentical) {
@@ -283,25 +324,6 @@ TEST(KProfileBatch, EmptyPositionsYieldEmptyProfile) {
   const Fleet fleet = ProportionalAlgorithm(3, 1).build_fleet(64);
   EXPECT_TRUE(k_profile_batch(fleet, 1, {}).empty());
   EXPECT_TRUE(k_profile_batch(fleet, 1, {}, {.threads = 8}).empty());
-}
-
-TEST(VisitCache, RobotsSharingABackendShareMemoSlots) {
-  // GroupDoubling's analytic build hands ONE AnalyticZigzag object to all
-  // n robots, so the cache collapses them to a single memo slot: the
-  // first robot's miss is every other robot's hit.
-  const GroupDoubling pack(4, 1);
-  const Fleet analytic = pack.build_unbounded_fleet();
-  const FleetVisitCache cache(analytic);
-  EXPECT_EQ(cache.slot_count(), 1u);
-  (void)cache.detection_time(3.0L, 1);
-  EXPECT_EQ(cache.misses(), 1u);                      // robot 0 computed...
-  EXPECT_EQ(cache.hits(), analytic.size() - 1);       // ...the rest reused
-  const Real direct = analytic.detection_time(3.0L, 1);
-  EXPECT_TRUE(bit_identical(direct, cache.detection_time(3.0L, 1)));
-
-  // Dense builds materialize per-robot copies: one slot per robot.
-  const Fleet dense = pack.build_fleet(200);
-  EXPECT_EQ(FleetVisitCache(dense).slot_count(), dense.size());
 }
 
 }  // namespace

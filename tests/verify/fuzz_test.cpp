@@ -115,9 +115,9 @@ TEST(Fuzz, CleanSeedRunsAllOracles) {
     const FuzzOutcome outcome = run_instance(instance);
     EXPECT_TRUE(outcome.ok()) << outcome.describe();
     EXPECT_EQ(outcome.invariants.size(), 11u);
-    // run_differentials' six engines plus the byzantine quorum race
+    // run_differentials' four engines plus the byzantine quorum race
     // plus the dense-vs-analytic backend differential.
-    EXPECT_EQ(outcome.differentials.size(), 8u);
+    EXPECT_EQ(outcome.differentials.size(), 6u);
     EXPECT_EQ(outcome.primary_failure(), "");
     break;
   }
