@@ -13,10 +13,16 @@
 // All probes use the fleet's exact detection_time; the only approximation
 // is the eps offset (relative 1e-9).
 //
-// measure_cr runs the scan on the SoA kernels (eval/kernels).  The
-// scalar scan stays as detail::measure_cr_with, parameterized over the
-// detection oracle: driven by direct Fleet::detection_time queries it
-// is the reference the kernel must match bit for bit.  The batch engine
+// measure_cr runs the scan on the SoA kernels (eval/kernels), which
+// evaluate a piece's interior samples only when a speed bound anchored
+// at the piece's upper turn cannot prove them below the running
+// supremum — so the safety net costs almost nothing where Lemma 3
+// holds, and still catches every sample that could matter where it
+// does not.  The result (probe count included) is the full scan's.
+// The scalar scan stays as detail::measure_cr_with, parameterized over
+// the detection oracle: driven by direct Fleet::detection_time queries
+// it evaluates every probe and is the reference the kernel must match
+// bit for bit.  The batch engine
 // (eval/batch.hpp) is a parallel_map over measure_cr.
 #pragma once
 

@@ -170,39 +170,276 @@ void fill_visit_columns(const Fleet& fleet, const int f,
   }
 }
 
+namespace {
+
+/// Slack of the prune bound, relative to the magnitudes the bound is
+/// built from: far above the few-ulp long-double error of the detection
+/// times and of the bound's own arithmetic, far below any gap a real
+/// supremum has over a sample it dominates.
+constexpr Real kPruneSlack = 1e-12L;
+
+/// No pass-1 slot / no pass-2 samples.
+constexpr std::uint32_t kNoSlot = UINT32_MAX;
+
+/// Interior sample s of k on (lo, hi): the expression
+/// detail::probe_magnitudes emits, character for character.
+Real interior_sample(const Real lo, const Real hi, const int s, const int k) {
+  return lo + (hi - lo) * static_cast<Real>(s) / static_cast<Real>(k + 1);
+}
+
+/// One inter-turn piece (lo, hi] whose k interior samples are provably
+/// distinct from every other probe of its side, in window and strictly
+/// increasing — so the scan's dedup cannot touch them and they are kept
+/// as a count instead of built.
+struct SampleRun {
+  Real lo = 0;
+  Real hi = 0;
+  Real first = 0;                 ///< the smallest sample, s_1
+  int count = 0;                  ///< k
+  std::uint32_t after = 0;        ///< anchor slots emitted before the run
+  std::uint32_t hi_slot = kNoSlot;  ///< anchor slot of hi's own probe
+  std::uint32_t begin = kNoSlot;  ///< first sample's pass-2 slot; kNoSlot
+                                  ///< while pruned
+};
+
+/// Reused per-thread working set of one scan.
+struct ScanScratch {
+  ProbeBatch anchors;  ///< pass 1: explicit probes, deduped, emission order
+  ProbeBatch samples;  ///< pass 2: samples of the runs the bound keeps
+  std::vector<SampleRun> runs;  ///< both sides, emission order
+  VisitColumns anchor_columns;
+  VisitColumns sample_columns;
+  std::vector<std::uint32_t> by_value;
+  std::vector<std::uint32_t> slot_of;
+};
+
+/// Pass 1 for one half-line: the emission of detail::probe_magnitudes
+/// with every countable piece replaced by a SampleRun, appended to
+/// scratch.anchors / scratch.runs and deduplicated exactly like the
+/// scalar emission (first occurrence kept, exact equality).
+void emit_side(const Fleet& fleet, const int side,
+               const CrEvalOptions& options, ScanScratch& scratch) {
+  std::vector<Real> turns = fleet.turning_positions_in(
+      side, options.window_lo * (1 - tol::kRelative), options.window_hi);
+  turns.push_back(options.window_lo);
+  turns.push_back(options.window_hi);
+  std::sort(turns.begin(), turns.end());
+  turns.erase(std::unique(turns.begin(), turns.end(),
+                          [](const Real a, const Real b) {
+                            return approx_equal(a, b);
+                          }),
+              turns.end());
+  const auto in_window = [&](const Real magnitude) {
+    return magnitude >= options.window_lo && magnitude <= options.window_hi;
+  };
+
+  ProbeBatch& anchors = scratch.anchors;
+  const std::size_t side_begin = anchors.size();
+  const std::size_t runs_begin = scratch.runs.size();
+  // Largest magnitude emitted so far on this side, samples included.
+  Real emitted_max = 0;
+  const auto push = [&](const Real magnitude) {
+    anchors.magnitudes.push_back(magnitude);
+    anchors.sides.push_back(static_cast<std::int8_t>(side));
+    emitted_max = std::max(emitted_max, magnitude);
+  };
+  const int k = options.interior_samples;
+  SampleRun* open_run = nullptr;  // the run whose hi is the next turn
+  for (std::size_t i = 0; i < turns.size(); ++i) {
+    const Real limit = turns[i] * (1 + tol::kLimitProbe);
+    if (in_window(limit)) push(limit);
+    if (in_window(turns[i])) {
+      if (open_run != nullptr) {
+        open_run->hi_slot = static_cast<std::uint32_t>(anchors.size());
+      }
+      push(turns[i]);
+    }
+    open_run = nullptr;
+    if (i + 1 == turns.size() || k <= 0) continue;
+    const Real lo = turns[i];
+    const Real hi = turns[i + 1];
+    const Real first = interior_sample(lo, hi, 1, k);
+    const Real last = interior_sample(lo, hi, k, k);
+    // The samples are monotone in s, and the spacing check (far above
+    // their rounding error) makes them strictly increasing; so all of
+    // them are distinct, in window, above every earlier probe and below
+    // hi, and every later probe is >= hi.
+    const bool countable = first > emitted_max && last < hi &&
+                           first >= options.window_lo &&
+                           last <= options.window_hi &&
+                           (hi - lo) / static_cast<Real>(k + 1) >
+                               Real{1e-15L} * hi;
+    if (countable) {
+      scratch.runs.push_back({.lo = lo,
+                              .hi = hi,
+                              .first = first,
+                              .count = k,
+                              .after = static_cast<std::uint32_t>(
+                                  anchors.size())});
+      open_run = &scratch.runs.back();
+      emitted_max = last;
+    } else {
+      for (int s = 1; s <= k; ++s) {
+        const Real sample = interior_sample(lo, hi, s, k);
+        if (in_window(sample)) push(sample);
+      }
+    }
+  }
+
+  // Exact first-occurrence dedup of the side's explicit probes, the
+  // sorted-permutation pass of detail::probe_magnitudes.  Run samples
+  // take no part: they are distinct from everything by construction.
+  const std::size_t count = anchors.size() - side_begin;
+  Real* magnitudes = anchors.magnitudes.data() + side_begin;
+  std::vector<std::uint32_t>& by_value = scratch.by_value;
+  by_value.resize(count);
+  std::iota(by_value.begin(), by_value.end(), 0U);
+  std::sort(by_value.begin(), by_value.end(),
+            [magnitudes](const std::uint32_t p, const std::uint32_t q) {
+              if (magnitudes[p] != magnitudes[q]) {
+                return magnitudes[p] < magnitudes[q];
+              }
+              return p < q;
+            });
+  // slot_of[j] = the deduped slot of explicit probe j (kNoSlot when it
+  // is a repeat); slot_of[count] closes the range for runs at the end.
+  std::vector<std::uint32_t>& slot_of = scratch.slot_of;
+  slot_of.assign(count + 1, 0);
+  for (std::size_t j = 1; j < count; ++j) {
+    if (magnitudes[by_value[j]] == magnitudes[by_value[j - 1]]) {
+      slot_of[by_value[j]] = kNoSlot;
+    }
+  }
+  std::uint32_t kept = 0;
+  for (std::size_t j = 0; j < count; ++j) {
+    if (slot_of[j] == kNoSlot) continue;
+    slot_of[j] = kept;
+    magnitudes[kept++] = magnitudes[j];
+  }
+  slot_of[count] = kept;
+  anchors.magnitudes.resize(side_begin + kept);
+  anchors.sides.resize(side_begin + kept);
+  // Rebase each run onto absolute deduped slots.  `after` counts the
+  // kept probes before the run: the first kept slot at or past it.
+  for (std::size_t r = runs_begin; r < scratch.runs.size(); ++r) {
+    SampleRun& run = scratch.runs[r];
+    std::size_t j = run.after - side_begin;
+    while (slot_of[j] == kNoSlot) ++j;
+    run.after = static_cast<std::uint32_t>(side_begin + slot_of[j]);
+    if (run.hi_slot != kNoSlot) {
+      const std::uint32_t slot = slot_of[run.hi_slot - side_begin];
+      run.hi_slot = slot == kNoSlot
+                        ? kNoSlot
+                        : static_cast<std::uint32_t>(side_begin + slot);
+    }
+  }
+}
+
+}  // namespace
+
 CrEvalResult measure_cr_kernel(const Fleet& fleet, const int f,
                                const CrEvalOptions& options) {
   // Same preconditions, span, counters and scan semantics as
-  // detail::measure_cr_with — only the detection times are precomputed
-  // in bulk instead of queried one probe at a time.
+  // detail::measure_cr_with.  The detection times are precomputed in
+  // bulk instead of queried one probe at a time, and the interior
+  // samples of a piece are evaluated only when the prune bound cannot
+  // prove that none of them moves the supremum (see kernels.hpp).
   expects(f >= 0, "measure_cr: f must be >= 0");
   expects(options.window_lo > 0, "measure_cr: window_lo must be positive");
   expects(options.window_hi > options.window_lo,
           "measure_cr: window_hi must exceed window_lo");
   LS_OBS_SPAN("eval.cr.scan");
 
-  const ProbeBatch batch = build_probe_batch(fleet, options);
-  // Reused across calls on each thread so the robots x probes matrix is
-  // allocated once per thread, not once per scan.  Results are written
-  // before they are read each call, so reuse cannot leak state.
-  static thread_local VisitColumns columns;
-  fill_visit_columns(fleet, f, batch, columns);
+  // Reused across calls on each thread so the working arrays are
+  // allocated once per thread, not once per scan.  Every member is
+  // rewritten before it is read each call, so reuse cannot leak state.
+  static thread_local ScanScratch scratch;
+  ProbeBatch& anchors = scratch.anchors;
+  ProbeBatch& samples = scratch.samples;
+  std::vector<SampleRun>& runs = scratch.runs;
+  anchors.magnitudes.clear();
+  anchors.sides.clear();
+  samples.magnitudes.clear();
+  samples.sides.clear();
+  runs.clear();
 
+  // Pass 1: anchors (window ends, turns, right-limits, uncountable
+  // samples) of both sides in one fill.
+  emit_side(fleet, +1, options, scratch);
+  anchors.positive_count = anchors.size();
+  const std::size_t positive_runs = runs.size();
+  emit_side(fleet, -1, options, scratch);
+  fill_visit_columns(fleet, f, anchors, scratch.anchor_columns);
+  const std::vector<Real>& anchor_times = scratch.anchor_columns.detection;
+
+  // Pass 2: the prune bound per run (kernels.hpp derives it), then one
+  // fill for the survivors.  A pruned run's samples have
+  // T(x)/x <= max(g(s_1), g(hi)) < the supremum of the anchors before
+  // it, with g(x) = (T(hi) - (hi - x)/v_max)/x, and T(x) <= T(hi) < inf
+  // keeps them all detected.
+  Real v_max = 0;
+  Real start_reach[2] = {0, 0};  // [side > 0]: max start magnitude on side
+  for (RobotId r = 0; r < fleet.size(); ++r) {
+    v_max = std::max(v_max, fleet.robot(r).max_speed());
+    const Real start = fleet.robot(r).start_position();
+    start_reach[start > 0] = std::max(start_reach[start > 0],
+                                      std::fabs(start));
+  }
+  for (const int side : {+1, -1}) {
+    // Running supremum of the anchors before the current run; runs are
+    // in emission order, so the side's anchors are folded in once.
+    std::size_t folded = side > 0 ? 0 : anchors.positive_count;
+    Real supremum = 0;
+    const std::size_t runs_begin = side > 0 ? 0 : positive_runs;
+    const std::size_t runs_end =
+        side > 0 ? positive_runs : runs.size();
+    for (std::size_t r = runs_begin; r < runs_end; ++r) {
+      SampleRun& run = runs[r];
+      for (; folded < run.after; ++folded) {
+        const Real time = anchor_times[folded];
+        if (std::isinf(time)) continue;
+        supremum = std::max(supremum, time / anchors.magnitudes[folded]);
+      }
+      if (v_max > 0 && run.hi_slot != kNoSlot &&
+          run.lo >= start_reach[side > 0]) {
+        const Real t_hi = anchor_times[run.hi_slot];
+        if (std::isfinite(t_hi)) {
+          const Real slack = kPruneSlack * (t_hi + run.hi / v_max);
+          const Real at_first =
+              (t_hi - (run.hi - run.first) / v_max + slack) / run.first;
+          const Real at_hi = (t_hi + slack) / run.hi;
+          if (std::max(at_first, at_hi) < supremum) continue;
+        }
+      }
+      run.begin = static_cast<std::uint32_t>(samples.size());
+      for (int s = 1; s <= run.count; ++s) {
+        samples.magnitudes.push_back(
+            interior_sample(run.lo, run.hi, s, run.count));
+      }
+      samples.sides.insert(samples.sides.end(),
+                           static_cast<std::size_t>(run.count),
+                           static_cast<std::int8_t>(side));
+    }
+    if (side > 0) samples.positive_count = samples.size();
+  }
+  if (samples.size() > 0) {
+    fill_visit_columns(fleet, f, samples, scratch.sample_columns);
+  }
+  const std::vector<Real>& sample_times = scratch.sample_columns.detection;
+
+  // The unchanged supremum scan, in emission order: anchors up to each
+  // run, then the run's samples (or, pruned, just their count).
   CrEvalResult result;
   Real pos_best_x = 0;
   Real neg_best_x = 0;
   std::uint64_t refinements = 0;
   for (const int side : {+1, -1}) {
-    const std::size_t begin = side > 0 ? 0 : batch.positive_count;
-    const std::size_t end = side > 0 ? batch.positive_count : batch.size();
     Real best = 0;
     Real best_x = 0;
     bool any_detected = false;
     Real first_undetected_x = 0;
-    for (std::size_t i = begin; i < end; ++i) {
-      const Real magnitude = batch.magnitudes[i];
+    const auto visit = [&](const Real magnitude, const Real time) {
       const Real x = static_cast<Real>(side) * magnitude;
-      const Real time = columns.detection[i];
       ++result.probes;
       if (std::isinf(time)) {
         if (options.require_finite) {
@@ -212,7 +449,7 @@ CrEvalResult measure_cr_kernel(const Fleet& fleet, const int f,
         }
         ++result.undetected_probes;
         if (first_undetected_x == 0) first_undetected_x = x;
-        continue;
+        return;
       }
       any_detected = true;
       const Real ratio = time / magnitude;
@@ -220,6 +457,28 @@ CrEvalResult measure_cr_kernel(const Fleet& fleet, const int f,
         best = ratio;
         best_x = x;
         ++refinements;
+      }
+    };
+    std::size_t a = side > 0 ? 0 : anchors.positive_count;
+    const std::size_t anchors_end =
+        side > 0 ? anchors.positive_count : anchors.size();
+    const std::size_t runs_begin = side > 0 ? 0 : positive_runs;
+    const std::size_t runs_end =
+        side > 0 ? positive_runs : runs.size();
+    for (std::size_t r = runs_begin; r <= runs_end; ++r) {
+      const std::size_t until = r < runs_end ? runs[r].after : anchors_end;
+      for (; a < until; ++a) visit(anchors.magnitudes[a], anchor_times[a]);
+      if (r == runs_end) break;
+      const SampleRun& run = runs[r];
+      if (run.begin == kNoSlot) {
+        // Pruned: detected, and below the running supremum.
+        result.probes += run.count;
+        any_detected = true;
+        continue;
+      }
+      for (int s = 0; s < run.count; ++s) {
+        visit(samples.magnitudes[run.begin + s],
+              sample_times[run.begin + s]);
       }
     }
     if (!any_detected && first_undetected_x != 0) {
@@ -242,6 +501,7 @@ CrEvalResult measure_cr_kernel(const Fleet& fleet, const int f,
     result.argmax = pos_best_x;
   }
   LS_OBS_COUNT("eval.cr.probes", result.probes);
+  LS_OBS_COUNT("eval.cr.probes_evaluated", anchors.size() + samples.size());
   LS_OBS_COUNT("eval.cr.undetected_probes", result.undetected_probes);
   LS_OBS_COUNT("eval.cr.supremum_refinements", refinements);
   LS_OBS_OBSERVE("eval.cr.probes_per_scan", result.probes,

@@ -49,6 +49,10 @@ struct SvcMetrics {
   }
 };
 
+void bump(std::atomic<std::uint64_t>& tally) {
+  tally.fetch_add(1, std::memory_order_relaxed);
+}
+
 CrEvalOptions eval_options_of(const CrQuery& query,
                               const bool require_finite) {
   CrEvalOptions options;
@@ -282,8 +286,7 @@ std::shared_ptr<const Fleet> QueryService::backend_for(
   const auto it = backends_.find(key);
   if (it != backends_.end()) {
     obs::count(SvcMetrics::instance().backend_hits);
-    const std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-    ++stats_.backend_hits;
+    bump(tallies_.backend_hits);
     return it->second;
   }
   // Bound the registry: evict the oldest registration.  In-use fleets
@@ -297,8 +300,7 @@ std::shared_ptr<const Fleet> QueryService::backend_for(
   backends_.emplace(key, backend);
   backend_order_.push_back(key);
   obs::count(SvcMetrics::instance().backend_builds);
-  const std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-  ++stats_.backend_builds;
+  bump(tallies_.backend_builds);
   return backend;
 }
 
@@ -306,10 +308,7 @@ QueryResult QueryService::compute(const CrQuery& canonical) {
   LS_OBS_SPAN("svc.query.compute");
   const std::shared_ptr<const Fleet> backend = backend_for(canonical);
   obs::count(SvcMetrics::instance().evaluations);
-  {
-    const std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.evaluations;
-  }
+  bump(tallies_.evaluations);
   return evaluate_on_backend(canonical, *backend);
 }
 
@@ -340,8 +339,7 @@ void QueryService::cache_store(const std::size_t shard_index,
   if (shard.order.size() >= options_.shard_capacity) {
     shard.by_key.erase(shard.order.back().first);
     shard.order.pop_back();
-    const std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-    ++stats_.evictions;
+    bump(tallies_.evictions);
   }
   shard.order.emplace_front(key, result);
   shard.by_key.emplace(key, shard.order.begin());
@@ -353,16 +351,12 @@ QueryResult QueryService::evaluate(const CrQuery& query) {
   const std::size_t shard_index =
       query_shard(canonical, options_.shard_count);
   obs::count(SvcMetrics::instance().queries);
-  {
-    const std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.queries;
-  }
+  bump(tallies_.queries);
 
   QueryResult cached;
   if (options_.cache_results && cache_lookup(shard_index, key, cached)) {
     obs::count(SvcMetrics::instance().cache_hits);
-    const std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.cache_hits;
+    bump(tallies_.cache_hits);
     return cached;
   }
 
@@ -382,10 +376,7 @@ QueryResult QueryService::evaluate(const CrQuery& query) {
 
   if (!leader) {
     obs::count(SvcMetrics::instance().coalesced);
-    {
-      const std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.coalesced;
-    }
+    bump(tallies_.coalesced);
     std::unique_lock<std::mutex> lock(flight->mutex);
     flight->done.wait(lock, [&flight] { return flight->finished; });
     if (flight->error) std::rethrow_exception(flight->error);
@@ -424,8 +415,16 @@ QueryResult QueryService::evaluate(const CrQuery& query) {
 }
 
 QueryService::Stats QueryService::stats() const {
-  const std::lock_guard<std::mutex> lock(stats_mutex_);
-  return stats_;
+  const auto load = [](const std::atomic<std::uint64_t>& tally) {
+    return tally.load(std::memory_order_relaxed);
+  };
+  return {.queries = load(tallies_.queries),
+          .cache_hits = load(tallies_.cache_hits),
+          .coalesced = load(tallies_.coalesced),
+          .evaluations = load(tallies_.evaluations),
+          .backend_builds = load(tallies_.backend_builds),
+          .backend_hits = load(tallies_.backend_hits),
+          .evictions = load(tallies_.evictions)};
 }
 
 std::size_t QueryService::backend_count() const {

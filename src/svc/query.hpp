@@ -25,6 +25,7 @@
 // query.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
@@ -145,7 +146,8 @@ class QueryService {
   /// regardless of cache state, shard layout, or concurrency.
   [[nodiscard]] QueryResult evaluate(const CrQuery& query);
 
-  /// Monotonic behaviour counters (also exported as svc.* obs metrics).
+  /// Monotonic behaviour counters (also exported as svc.* obs metrics),
+  /// as a snapshot of the live tallies.
   struct Stats {
     std::uint64_t queries = 0;      ///< evaluate() calls that canonicalized
     std::uint64_t cache_hits = 0;   ///< served from a shard LRU
@@ -232,8 +234,18 @@ class QueryService {
   std::mutex inflight_mutex_;
   std::unordered_map<std::string, std::shared_ptr<InFlight>> inflight_;
 
-  mutable std::mutex stats_mutex_;
-  Stats stats_;
+  /// Live tallies behind stats(): relaxed atomics, since each counts on
+  /// its own and no reader needs them mutually consistent.
+  struct Tallies {
+    std::atomic<std::uint64_t> queries{0};
+    std::atomic<std::uint64_t> cache_hits{0};
+    std::atomic<std::uint64_t> coalesced{0};
+    std::atomic<std::uint64_t> evaluations{0};
+    std::atomic<std::uint64_t> backend_builds{0};
+    std::atomic<std::uint64_t> backend_hits{0};
+    std::atomic<std::uint64_t> evictions{0};
+  };
+  Tallies tallies_;
 };
 
 }  // namespace linesearch::svc

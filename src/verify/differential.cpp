@@ -578,17 +578,34 @@ DifferentialResult diff_scalar_vs_simd(const Fleet& fleet, const int f,
   CrEvalOptions relaxed = eval;
   relaxed.require_finite = false;
 
-  // (a) Full scan: the SoA kernel vs the scalar reference loop backed by
-  // direct (uncached, unbatched) Fleet queries.
-  const CrEvalResult kernel = kernels::measure_cr_kernel(fleet, f, relaxed);
-  const CrEvalResult scalar = detail::measure_cr_with(
-      fleet, f, relaxed,
-      [&fleet, f](const Real x) { return fleet.detection_time(x, f); });
-  compare_results(result, 0, scalar, kernel);
+  // (a) Full scans: the pruning SoA kernel vs the scalar reference loop
+  // backed by direct (uncached, unbatched) Fleet queries — at the
+  // instance's own options, at interior_samples 0 / 16 / 64 (no samples
+  // to prune, and pieces dense enough that most runs are pruned), and
+  // on unbounded fleets also over a window 2^8 times wider.  Every
+  // variant derives from the instance alone (no extra RNG draws).
+  std::vector<CrEvalOptions> scans{relaxed};
+  for (const int samples : {0, 16, 64}) {
+    scans.push_back(relaxed);
+    scans.back().interior_samples = samples;
+  }
+  if (fleet.unbounded()) {
+    scans.push_back(relaxed);
+    scans.back().window_hi *= 256;
+  }
+  for (std::size_t job = 0; job < scans.size(); ++job) {
+    const CrEvalResult kernel =
+        kernels::measure_cr_kernel(fleet, f, scans[job]);
+    const CrEvalResult scalar = detail::measure_cr_with(
+        fleet, f, scans[job],
+        [&fleet, f](const Real x) { return fleet.detection_time(x, f); });
+    compare_results(result, job, scalar, kernel);
+  }
 
-  // (b) Columns: every batched per-probe detection time vs the scalar
-  // oracle at the identical signed position (the same side * magnitude
-  // product the kernel feeds its sweep).
+  // (b) Columns: every batched per-probe detection time of the full
+  // probe expansion vs the scalar oracle at the identical signed
+  // position (the same side * magnitude product the kernel feeds its
+  // sweep).
   const kernels::ProbeBatch batch = kernels::build_probe_batch(fleet, relaxed);
   kernels::VisitColumns columns;
   kernels::fill_visit_columns(fleet, f, batch, columns);

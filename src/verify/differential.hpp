@@ -177,12 +177,17 @@ struct DifferentialOptions {
     int n, int f, Real p, const std::vector<Real>& targets,
     std::uint64_t seed = 0x5eed0bab01234567ULL, int trials = 400);
 
-/// SoA kernel path (eval/kernels measure_cr_kernel) vs the scalar
-/// reference scan driven by direct Fleet queries: every CrEvalResult
-/// field bit-identical, and every batched per-probe detection time
-/// bit-identical to Fleet::detection_time at the same signed position.
-/// This is the differential that licenses the configure-time SIMD
-/// switch — it must hold on both LINESEARCH_SIMD builds.
+/// SoA kernel path (eval/kernels measure_cr_kernel, which prunes the
+/// interior samples that cannot move the supremum) vs the scalar
+/// reference scan driven by direct Fleet queries, which evaluates every
+/// probe: every CrEvalResult field bit-identical — at `eval`, at
+/// interior_samples 0, 16 and 64, and on unbounded fleets also at
+/// `eval` with window_hi * 2^8 (mismatch job = variant index, in that
+/// order) — and every batched per-probe detection time of the full
+/// probe expansion bit-identical to Fleet::detection_time at the same
+/// signed position.  This is the differential that licenses the
+/// configure-time SIMD switch and the prune pass — it must hold on both
+/// LINESEARCH_SIMD builds.
 [[nodiscard]] DifferentialResult diff_scalar_vs_simd(
     const Fleet& fleet, int f, const CrEvalOptions& eval);
 

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <memory>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -16,7 +17,9 @@
 #include "core/baselines.hpp"
 #include "eval/cr_eval.hpp"
 #include "eval/interval_lines.hpp"
+#include "obs/metrics.hpp"
 #include "sim/analytic.hpp"
+#include "sim/faults.hpp"
 #include "sim/fleet.hpp"
 #include "sim/trajectory.hpp"
 #include "util/error.hpp"
@@ -252,6 +255,38 @@ std::vector<std::pair<int, int>> regime_pairs() {
   return pairs;
 }
 
+/// measure_cr_kernel vs the scalar reference scan over direct Fleet
+/// queries: every result field bitwise, or the identical throw text.
+void expect_kernel_matches_scalar(const Fleet& fleet, const int f,
+                                  const CrEvalOptions& options) {
+  std::string kernel_error;
+  std::string scalar_error;
+  CrEvalResult kernel;
+  CrEvalResult scalar;
+  try {
+    kernel = kernels::measure_cr_kernel(fleet, f, options);
+  } catch (const NumericError& error) {
+    kernel_error = error.what();
+  }
+  try {
+    scalar = detail::measure_cr_with(
+        fleet, f, options,
+        [&fleet, f](const Real x) { return fleet.detection_time(x, f); });
+  } catch (const NumericError& error) {
+    scalar_error = error.what();
+  }
+  ASSERT_EQ(kernel_error, scalar_error) << "f=" << f;
+  EXPECT_TRUE(value_identical(kernel.cr, scalar.cr)) << "f=" << f;
+  EXPECT_TRUE(value_identical(kernel.argmax, scalar.argmax)) << "f=" << f;
+  EXPECT_TRUE(value_identical(kernel.cr_positive, scalar.cr_positive))
+      << "f=" << f;
+  EXPECT_TRUE(value_identical(kernel.cr_negative, scalar.cr_negative))
+      << "f=" << f;
+  EXPECT_EQ(kernel.probes, scalar.probes) << "f=" << f;
+  EXPECT_EQ(kernel.undetected_probes, scalar.undetected_probes)
+      << "f=" << f;
+}
+
 TEST(MeasureCrKernel, BitIdenticalToScalarAcrossAllRegimePairs) {
   const std::vector<std::pair<int, int>> pairs = regime_pairs();
   ASSERT_EQ(pairs.size(), 41u);
@@ -260,22 +295,9 @@ TEST(MeasureCrKernel, BitIdenticalToScalarAcrossAllRegimePairs) {
   for (const auto& pair : pairs) {
     const int n = pair.first;
     const int f = pair.second;
-    const Fleet fleet = ProportionalAlgorithm(n, f).build_fleet(64);
-    const CrEvalResult kernel =
-        kernels::measure_cr_kernel(fleet, f, options);
-    const CrEvalResult scalar = detail::measure_cr_with(
-        fleet, f, options,
-        [&fleet, f](const Real x) { return fleet.detection_time(x, f); });
-    EXPECT_TRUE(value_identical(kernel.cr, scalar.cr)) << n << "," << f;
-    EXPECT_TRUE(value_identical(kernel.argmax, scalar.argmax))
-        << n << "," << f;
-    EXPECT_TRUE(value_identical(kernel.cr_positive, scalar.cr_positive))
-        << n << "," << f;
-    EXPECT_TRUE(value_identical(kernel.cr_negative, scalar.cr_negative))
-        << n << "," << f;
-    EXPECT_EQ(kernel.probes, scalar.probes) << n << "," << f;
-    EXPECT_EQ(kernel.undetected_probes, scalar.undetected_probes)
-        << n << "," << f;
+    SCOPED_TRACE(testing::Message() << "n=" << n);
+    expect_kernel_matches_scalar(ProportionalAlgorithm(n, f).build_fleet(64),
+                                 f, options);
   }
 }
 
@@ -286,16 +308,9 @@ TEST(MeasureCrKernel, BitIdenticalToScalarOnAnalyticBackend) {
        std::vector<std::pair<int, int>>{{3, 1}, {7, 4}, {12, 11}}) {
     const int n = pair.first;
     const int f = pair.second;
-    const Fleet fleet = ProportionalAlgorithm(n, f).build_unbounded_fleet();
-    const CrEvalResult kernel =
-        kernels::measure_cr_kernel(fleet, f, options);
-    const CrEvalResult scalar = detail::measure_cr_with(
-        fleet, f, options,
-        [&fleet, f](const Real x) { return fleet.detection_time(x, f); });
-    EXPECT_TRUE(value_identical(kernel.cr, scalar.cr)) << n << "," << f;
-    EXPECT_TRUE(value_identical(kernel.argmax, scalar.argmax))
-        << n << "," << f;
-    EXPECT_EQ(kernel.probes, scalar.probes) << n << "," << f;
+    SCOPED_TRACE(testing::Message() << "n=" << n);
+    expect_kernel_matches_scalar(
+        ProportionalAlgorithm(n, f).build_unbounded_fleet(), f, options);
   }
 }
 
@@ -320,6 +335,183 @@ TEST(MeasureCrKernel, UndetectedProbeThrowsLikeTheScalarScan) {
   options.require_finite = false;
   const CrEvalResult relaxed = kernels::measure_cr_kernel(fleet, 1, options);
   EXPECT_GT(relaxed.undetected_probes, 0);
+}
+
+/// One robot from the origin that turns at `turn`, then sweeps
+/// +-extent.
+Fleet single_turn_fleet(const Real turn, const Real extent) {
+  TrajectoryBuilder builder;
+  builder.start_at(0, 0);
+  builder.move_to(turn);
+  builder.move_to(-extent);
+  builder.move_to(extent);
+  std::vector<Trajectory> robots;
+  robots.push_back(std::move(builder).build());
+  return Fleet(std::move(robots));
+}
+
+TEST(MeasureCrKernel, SampleEqualToARightLimitTakesTheBuiltPath) {
+  // Turns at 1 (window_lo) and 1 + 2*delta, where 1 + delta is the
+  // right-limit probe of 1: with k = 1 the piece's only sample lands on
+  // that right-limit bit for bit, so it cannot be a counted run — the
+  // kernel must build it and drop it as a repeat, like the scalar dedup.
+  const Real limit = 1 * (1 + tol::kLimitProbe);
+  const Real delta = limit - 1;
+  const Real turn = 1 + 2 * delta;
+  ASSERT_FALSE(approx_equal(1, turn));
+  const Fleet fleet = single_turn_fleet(turn, 64);
+  CrEvalOptions options;
+  options.window_hi = 16;
+  options.interior_samples = 1;
+  const std::vector<Real> turns = fleet.turning_positions_in(+1, 0, 16);
+  ASSERT_EQ(turns.size(), 1u);
+  ASSERT_TRUE(value_identical(turns[0], turn));
+  ASSERT_TRUE(value_identical(1 + (turn - 1) * 1 / 2, limit));
+  expect_kernel_matches_scalar(fleet, 0, options);
+
+  // A piece so narrow that its first samples sit BELOW the right-limit
+  // of its own lower turn: also built, and emitted in the scalar order.
+  const Fleet narrow = single_turn_fleet(1 + 3 * delta, 64);
+  options.interior_samples = 4;
+  expect_kernel_matches_scalar(narrow, 0, options);
+}
+
+TEST(MeasureCrKernel, FleetStartingOffTheOriginMatchesScalar) {
+  // Starts at +5, -3 and +0.5: pieces below a robot's start on its side
+  // fall outside the prune bound's premise and must be evaluated.
+  std::vector<Trajectory> robots;
+  for (const auto& [start, first] :
+       std::vector<std::pair<Real, Real>>{{5, 40}, {-3, 2}, {0.5L, -6}}) {
+    TrajectoryBuilder builder;
+    builder.start_at(0, start);
+    Real turn = first;
+    for (int leg = 0; leg < 8; ++leg) {
+      builder.move_to(turn);
+      turn *= -2;
+    }
+    robots.push_back(std::move(builder).build());
+  }
+  const Fleet fleet(std::move(robots));
+  for (const int samples : {4, 16, 64}) {
+    for (const int f : {0, 1, 2}) {
+      CrEvalOptions options;
+      options.window_hi = 64;
+      options.interior_samples = samples;
+      options.require_finite = false;
+      expect_kernel_matches_scalar(fleet, f, options);
+    }
+  }
+
+  // The start premise is load-bearing.  Robot 0 starts at 5 and runs
+  // outward, so T(5) = 0; robot 1 reaches 1 at t = 1, then slows to
+  // half speed and turns at 5.  On the piece (1, 5) K = 2 - 1/x rises
+  // above every anchor before it, although the speed bound anchored at
+  // T(5) = 0 is negative: only lo >= every start keeps it evaluated.
+  TrajectoryBuilder outward;
+  outward.start_at(0, 5);
+  outward.move_to(64);
+  outward.move_to(-64);
+  TrajectoryBuilder slowing;
+  slowing.start_at(0, 0);
+  slowing.move_to(1);
+  slowing.move_to_at(5, 9);
+  slowing.move_to(-64);
+  std::vector<Trajectory> pair;
+  pair.push_back(std::move(outward).build());
+  pair.push_back(std::move(slowing).build());
+  const Fleet outrun(std::move(pair));
+  CrEvalOptions options;
+  options.window_hi = 16;
+  expect_kernel_matches_scalar(outrun, 0, options);
+  EXPECT_GT(kernels::measure_cr_kernel(outrun, 0, options).cr_positive,
+            Real{1.5L});
+}
+
+TEST(MeasureCrKernel, InteriorPeakOfANonZigzagFleetIsNeverPruned) {
+  // The safety-net case: one robot crawls at speed 1/4 from 1 to 2,
+  // then runs at speed 1 with no turn, so K peaks at 7/4 on the
+  // interior sample x = 4 of the piece (1, 16) — above every anchor.
+  // The speed bound sees that peak coming and keeps the piece.  A
+  // second robot sweeps the negative side at K = 1.
+  TrajectoryBuilder crawler;
+  crawler.start_at(0, 0);
+  crawler.move_to(1);
+  crawler.move_to_at(2, 5);
+  crawler.move_to(64);
+  TrajectoryBuilder leftward;
+  leftward.start_at(0, 0);
+  leftward.move_to(-64);
+  std::vector<Trajectory> robots;
+  robots.push_back(std::move(crawler).build());
+  robots.push_back(std::move(leftward).build());
+  const Fleet fleet(std::move(robots));
+  CrEvalOptions options;
+  options.window_hi = 16;
+  expect_kernel_matches_scalar(fleet, 0, options);
+  const CrEvalResult result = kernels::measure_cr_kernel(fleet, 0, options);
+  EXPECT_TRUE(value_identical(result.cr_positive, Real{7} / 4));
+  EXPECT_TRUE(value_identical(result.argmax, Real{4}));
+}
+
+TEST(MeasureCrKernel, CrashTruncatedFleetWithUndetectedProbes) {
+  const Fleet clean = ProportionalAlgorithm(5, 2).build_fleet(64);
+  const Fleet crashed =
+      truncate_at_crashes(clean, {kInfinity, 9, kInfinity, 20, 3});
+  CrEvalOptions options;
+  options.window_hi = 32;
+  options.interior_samples = 16;
+  for (const bool require_finite : {false, true}) {
+    options.require_finite = require_finite;
+    for (const int f : {0, 1, 2}) {
+      expect_kernel_matches_scalar(crashed, f, options);
+    }
+  }
+  options.require_finite = false;
+  EXPECT_GT(kernels::measure_cr_kernel(crashed, 2, options).undetected_probes,
+            0);
+  options.require_finite = true;
+  EXPECT_THROW((void)kernels::measure_cr_kernel(crashed, 2, options),
+               NumericError);
+}
+
+TEST(MeasureCrKernel, ConstantRatioTiesKeepTheFirstProbe) {
+  // Two unit-speed rays: T(x) = |x| on both sides, so K == 1 at every
+  // probe.  Every sample ties the supremum; none may refine it, and the
+  // positive side's first probe (window_lo's right-limit) stays the
+  // argmax.
+  std::vector<Trajectory> robots;
+  robots.emplace_back(std::make_shared<AnalyticRay>(+1));
+  robots.emplace_back(std::make_shared<AnalyticRay>(-1));
+  const Fleet fleet(std::move(robots));
+  CrEvalOptions options;
+  options.window_hi = 1024;
+  options.interior_samples = 16;
+  expect_kernel_matches_scalar(fleet, 0, options);
+  const CrEvalResult result = kernels::measure_cr_kernel(fleet, 0, options);
+  EXPECT_TRUE(value_identical(result.cr, Real{1}));
+  EXPECT_TRUE(value_identical(result.argmax,
+                              options.window_lo * (1 + tol::kLimitProbe)));
+}
+
+TEST(MeasureCrKernel, PrunesMostInteriorSamplesOfAWideScan) {
+  if constexpr (!obs::kEnabled) {
+    GTEST_SKIP() << "eval.cr.probes_evaluated needs LINESEARCH_OBS=ON";
+  }
+  const Fleet fleet = ProportionalAlgorithm(12, 11).build_unbounded_fleet();
+  CrEvalOptions options;
+  options.window_hi = 65536;
+  options.interior_samples = 64;
+  obs::Registry::instance().reset();
+  const CrEvalResult result = kernels::measure_cr_kernel(fleet, 11, options);
+  std::uint64_t evaluated = 0;
+  for (const obs::MetricSnapshot& snap :
+       obs::Registry::instance().snapshot()) {
+    if (snap.name == "eval.cr.probes_evaluated") evaluated = snap.value;
+  }
+  ASSERT_EQ(result.probes, 12673);
+  EXPECT_GT(evaluated, 0u);
+  EXPECT_LE(evaluated * 20, static_cast<std::uint64_t>(result.probes));
+  expect_kernel_matches_scalar(fleet, 11, options);
 }
 
 TEST(OrderStatisticLine, TieBreakIsLowestIndexAmongAttainers) {

@@ -358,12 +358,20 @@ TEST(QueryServerSocket, SurvivesAPeerThatClosesWithoutReading) {
   {
     WireClient rude(path);
     ASSERT_TRUE(rude.connected()) << "server never bound " << path;
-    // A cold evaluation outlives the peer's immediate close below, so
-    // the response write lands on a closed socket.
+    // Shut the read half BEFORE sending: on AF_UNIX the server's
+    // response send then fails with EPIPE however fast the evaluation
+    // is, so the write failure no longer races the peer's close.
+    ASSERT_EQ(::shutdown(rude.fd(), SHUT_RD), 0);
     ASSERT_TRUE(rude.send_raw(
         R"({"id": 1, "op": "cr", "n": 6, "f": 2, "window_hi": 1024})"
         "\n"));
-  }  // closed before reading a byte
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (server.stats().write_failures == 0 &&
+           std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }  // closed without reading a byte
 
   WireClient polite(path);
   ASSERT_TRUE(polite.connected());
