@@ -24,6 +24,15 @@
 // p^K > 0, so E[T] is kInfinity for every p > 0 — the expected-CR
 // evaluator is meant for the unbounded analytic backends.
 //
+// Evaluation is a lazy n-way merge: one visit cursor per robot
+// (ScheduleSource::visit_cursor, one ladder walk stepped on demand), the
+// smallest head feeding the running sum one term at a time, and the pass
+// stops at the first window that settles the series — at least two
+// windows, a few thousand terms next to the threshold — without building
+// any robot's visits past that point.
+// detail::expected_detection_time_capped keeps the earlier
+// merge-a-capped-prefix-and-sort pass as a reference.
+//
 // At p == 0 the series collapses to t_1 = Fleet::detection_time(x, 0)
 // and the scan below runs detail::measure_cr_with with exactly the
 // fault-free oracle — bit-identical to measure_cr(fleet, 0, options).
@@ -49,9 +58,9 @@ struct ExpectationOptions {
                         .require_finite = false};
   /// Relative truncation tolerance of the geometric tail bound.
   Real rel_tol = 1e-9L;
-  /// Merged-visit hard cap per evaluation; past it the last measured
-  /// period ratio decides (contracting: extrapolate the closed-form
-  /// tail; otherwise kInfinity).
+  /// Cap on the series terms (merged visits) one evaluation consumes;
+  /// at the cap the last measured period ratio decides (contracting:
+  /// extrapolate the closed-form tail; otherwise kInfinity).  >= 16.
   std::size_t max_visits = 1u << 16;
 };
 
@@ -59,9 +68,37 @@ struct ExpectationOptions {
 /// up to rel_tol.  kInfinity when the series diverges (p at or past the
 /// ladder threshold), when the visit list is finite (never-detect mass),
 /// or when the target is never visited.  p == 0 returns
-/// Fleet::detection_time(target, 0) bit-identically.
+/// Fleet::detection_time(target, 0) bit-identically.  When a visit time
+/// overflows Real range or max_visits terms are consumed first, the
+/// closed-form tail of the last window extrapolates the sum if that
+/// window contracted; otherwise the answer is kInfinity.
 [[nodiscard]] Real expected_detection_time(const Fleet& fleet, Real target,
                                            const ExpectationOptions& options);
+
+namespace detail {
+
+/// What the capped reference's deciding pass saw.
+struct CappedTrace {
+  /// The answer came from terms that are exactly the true merged order:
+  /// no series was needed, or the pass settled within max_visits terms
+  /// at a visit no later than the last one built for every robot whose
+  /// list the cap cut.  The lazy evaluator must then agree bit for bit;
+  /// otherwise the capped pass may have summed visits out of order and
+  /// the two agree only within rel_tol.
+  bool inside_horizon = true;
+};
+
+/// The reference evaluator the lazy merge replaced: per pass, build up
+/// to `cap` visits per robot, sort them, and sum; on no verdict regrow
+/// the cap (64, x4, up to max_visits) and start over.  Past the earliest
+/// cut robot's last built visit the sorted list misses that robot's
+/// later visits, so its terms can come out of order there.  Kept for
+/// the lazy_vs_capped differential and tests; `trace` may be null.
+[[nodiscard]] Real expected_detection_time_capped(
+    const Fleet& fleet, Real target, const ExpectationOptions& options,
+    CappedTrace* trace = nullptr);
+
+}  // namespace detail
 
 /// Expected competitive ratio sup_x E[T(x)]/|x| over the options'
 /// window: the measure_cr probe scan (same probes, same tie-breaks,

@@ -173,43 +173,68 @@ Real AnalyticZigzag::position_at(const Real t) const {
   return a.position + fraction * (b.position - a.position);
 }
 
+/// The segment scan of DenseSchedule::visit_times against generated
+/// segments, stepped one visit at a time.  visit_times drains one of
+/// these, so the two agree by construction.  Every x is reached on an
+/// unbounded ladder (its reach grows by kappa > 1 per leg), so next()
+/// returns after finitely many legs; a bounded schedule runs out.
+class AnalyticZigzag::Cursor final : public VisitCursor {
+ public:
+  Cursor(const AnalyticZigzag& schedule, const Real x)
+      : walker_(schedule), a_(walker_.current()), x_(x) {
+    LS_OBS_COUNT("sim.analytic.visit_queries", 1);
+  }
+
+  bool next(Real* t) override {
+    while (walker_.has_next()) {
+      walker_.advance();
+      const Waypoint a = a_;
+      const Waypoint& b = walker_.current();
+      a_ = b;
+      const Real lo = std::min(a.position, b.position);
+      const Real hi = std::max(a.position, b.position);
+      // Continuous occupancy: a segment STARTING on x continues a visit
+      // the previous segment already reported.
+      const bool skip_start = segments_++ > 0 && x_ == a.position;
+      if (!(x_ >= lo && x_ <= hi) || skip_start) continue;
+      Real visit;
+      if (a.position == b.position) {
+        visit = a.time;  // stationary segment sitting on x
+      } else {
+        const Real fraction = (x_ - a.position) / (b.position - a.position);
+        visit = a.time + fraction * (b.time - a.time);
+      }
+      if (emitted_ && approx_equal(last_, visit)) continue;
+      emitted_ = true;
+      last_ = visit;
+      *t = visit;
+      return true;
+    }
+    return false;
+  }
+
+ private:
+  Walker walker_;
+  Waypoint a_;
+  Real x_;
+  std::size_t segments_ = 0;
+  bool emitted_ = false;
+  Real last_ = 0;
+};
+
 std::vector<Real> AnalyticZigzag::visit_times(
     const Real x, const std::size_t max_count) const {
   expects(!unbounded() || max_count < kUnboundedCount,
           "visit_times: unbounded schedule needs a finite max_count");
-  LS_OBS_COUNT("sim.analytic.visit_queries", 1);
+  Cursor cursor(*this, x);
   std::vector<Real> times;
-  if (max_count == 0) return times;
-
-  // Same segment scan as DenseSchedule, against generated segments.  The
-  // loop terminates for any finite cap: the zig-zag's reach grows by
-  // kappa > 1 per leg, so every x is crossed on all but finitely many
-  // legs (and a bounded schedule simply runs out of segments).
-  Walker cursor(*this);
-  Waypoint a = cursor.current();
-  std::size_t i = 0;
-  while (cursor.has_next() && times.size() < max_count) {
-    cursor.advance();
-    const Waypoint& b = cursor.current();
-    const Real lo = std::min(a.position, b.position);
-    const Real hi = std::max(a.position, b.position);
-    const bool skip_start = i > 0 && x == a.position;
-    if (x >= lo && x <= hi && !skip_start) {
-      Real t;
-      if (a.position == b.position) {
-        t = a.time;  // stationary segment sitting on x
-      } else {
-        const Real fraction = (x - a.position) / (b.position - a.position);
-        t = a.time + fraction * (b.time - a.time);
-      }
-      if (times.empty() || !approx_equal(times.back(), t)) {
-        times.push_back(t);
-      }
-    }
-    a = b;
-    ++i;
-  }
+  Real t = 0;
+  while (times.size() < max_count && cursor.next(&t)) times.push_back(t);
   return times;
+}
+
+std::unique_ptr<VisitCursor> AnalyticZigzag::visit_cursor(const Real x) const {
+  return std::make_unique<Cursor>(*this, x);
 }
 
 void AnalyticZigzag::first_visit_times_into(const Real* xs,

@@ -75,6 +75,12 @@ class AnalyticZigzag final : public ScheduleSource {
   [[nodiscard]] Real position_at(Real t) const override;
   [[nodiscard]] std::vector<Real> visit_times(
       Real x, std::size_t max_count) const override;
+  /// One ladder walk stepped on demand: each visit costs O(1) legs once
+  /// the ladder has passed x, and no re-query walks the ladder again
+  /// from the start.  Creating a cursor counts one
+  /// sim.analytic.visit_queries walk.
+  [[nodiscard]] std::unique_ptr<VisitCursor> visit_cursor(
+      Real x) const override;
   void first_visit_times_into(const Real* xs, std::size_t count,
                               Real* out) const override;
   [[nodiscard]] const std::vector<Waypoint>& waypoints() const override;
@@ -96,6 +102,7 @@ class AnalyticZigzag final : public ScheduleSource {
 
  private:
   class Walker;
+  class Cursor;
 
   /// Materialized only in barrier mode (the schedule is finite there);
   /// unbounded schedules carry just the null pointer, keeping their

@@ -317,12 +317,22 @@ Real ProbabilisticFaults::detection_time(const Fleet& fleet,
   // First success over the team = min over robots of each robot's first
   // successful visit (coins are indexed per (robot, local visit), so
   // which robot's visit comes k-th in the merged order is irrelevant).
+  // The first success usually comes within a few visits, so each robot's
+  // list is fetched as a growing prefix (16, x8, up to max_visits) and
+  // the k loop continues on the longer one: the same visits, coins and
+  // breaks as one full-cap fetch.
   Real earliest = kInfinity;
   for (std::size_t robot = 0; robot < fleet.size(); ++robot) {
-    const std::vector<Real> visits =
-        fleet.robot(static_cast<RobotId>(robot))
-            .visit_times(target, config_.max_visits);
-    for (std::size_t k = 0; k < visits.size(); ++k) {
+    const Trajectory& trajectory = fleet.robot(static_cast<RobotId>(robot));
+    std::size_t cap = std::min<std::size_t>(16, config_.max_visits);
+    std::vector<Real> visits = trajectory.visit_times(target, cap);
+    for (std::size_t k = 0;; ++k) {
+      if (k == visits.size()) {
+        if (visits.size() < cap || cap == config_.max_visits) break;
+        cap = std::min(cap * 8, config_.max_visits);
+        visits = trajectory.visit_times(target, cap);
+        if (k == visits.size()) break;
+      }
       if (!std::isfinite(visits[k])) break;
       if (visits[k] >= earliest) break;  // later robots can't improve
       if (!probabilistic_visit_fails(config_.seed, robot, k, config_.p)) {

@@ -13,7 +13,38 @@ namespace {
 // turning-point recurrences; anything above this is a construction bug.
 constexpr Real kSpeedSlack = 1 + 1e-9L;
 
+/// ScheduleSource::visit_cursor's reference stream: serves each capped
+/// visit_times prefix, then re-queries at eight times the cap.
+class RequeryCursor final : public VisitCursor {
+ public:
+  RequeryCursor(const ScheduleSource& schedule, const Real x)
+      : schedule_(schedule), x_(x) {}
+
+  bool next(Real* t) override {
+    if (index_ == times_.size()) {
+      // A short answer means the list is complete.
+      if (times_.size() < cap_) return false;
+      cap_ = (cap_ == 0) ? 16 : cap_ * 8;
+      times_ = schedule_.visit_times(x_, cap_);
+      if (index_ == times_.size()) return false;
+    }
+    *t = times_[index_++];
+    return true;
+  }
+
+ private:
+  const ScheduleSource& schedule_;
+  Real x_;
+  std::size_t cap_ = 0;
+  std::size_t index_ = 0;
+  std::vector<Real> times_;
+};
+
 }  // namespace
+
+std::unique_ptr<VisitCursor> ScheduleSource::visit_cursor(const Real x) const {
+  return std::make_unique<RequeryCursor>(*this, x);
+}
 
 void ScheduleSource::first_visit_times_into(const Real* xs,
                                             const std::size_t count,

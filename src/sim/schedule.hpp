@@ -15,6 +15,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -32,6 +33,20 @@ struct Waypoint {
 
 /// waypoint_count() of a schedule with an unbounded horizon.
 inline constexpr std::size_t kUnboundedCount = SIZE_MAX;
+
+/// A stream over one schedule's visits to a fixed point x, one visit per
+/// call: exactly the sequence visit_times(x, SIZE_MAX) would hold
+/// (skip-start and approx-equal dedup included), bit for bit, without
+/// materializing it.  Safe on unbounded schedules.  A cursor refers to
+/// the schedule it was made from and must not outlive it.
+class VisitCursor {
+ public:
+  virtual ~VisitCursor() = default;
+
+  /// Store the next visit time in *t and return true; return false once
+  /// the visits are exhausted, and on every call after that.
+  virtual bool next(Real* t) = 0;
+};
 
 /// Abstract trajectory backend.  Implementations are immutable after
 /// construction; all queries are const and thread-safe.
@@ -72,6 +87,14 @@ class ScheduleSource {
   /// requires a finite cap (max_count < kUnboundedCount).
   [[nodiscard]] virtual std::vector<Real> visit_times(
       Real x, std::size_t max_count) const = 0;
+
+  /// Lazy stream of the visits to x (see VisitCursor).  The base
+  /// implementation re-queries visit_times with a growing cap and serves
+  /// the new suffix, which is exact on every backend because a capped
+  /// query is a prefix of the uncapped one; backends that can step their
+  /// segments directly override it.
+  [[nodiscard]] virtual std::unique_ptr<VisitCursor> visit_cursor(
+      Real x) const;
 
   /// Batched first visits: out[i] = first visit time to xs[i], or
   /// kInfinity when xs[i] is never reached.  `xs` must be sorted

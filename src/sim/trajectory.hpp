@@ -107,6 +107,13 @@ class Trajectory {
     return source_->visit_times(x, max_count);
   }
 
+  /// Lazy stream of the visits to x: the sequence visit_times(x) would
+  /// return, one visit per call, on bounded and unbounded schedules
+  /// alike.  The cursor must not outlive this trajectory's backend.
+  [[nodiscard]] std::unique_ptr<VisitCursor> visit_cursor(Real x) const {
+    return source_->visit_cursor(x);
+  }
+
   /// Time of the k-th visit (0-based) to x, or nullopt.
   [[nodiscard]] std::optional<Real> kth_visit_time(Real x,
                                                    std::size_t k) const;

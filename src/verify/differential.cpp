@@ -509,6 +509,19 @@ DifferentialResult diff_expectation_vs_montecarlo(
     exact_options.p = p;
     const Real exact = expected_detection_time(fleet, x, exact_options);
     const Real first_visit = fleet.detection_time(x, 0);
+    // Lazy merge vs the capped reference: bitwise when the capped pass
+    // summed exactly the true merged prefix, else within rel_tol (it may
+    // have summed visits out of order past its horizon).
+    detail::CappedTrace trace;
+    const Real capped = detail::expected_detection_time_capped(
+        fleet, x, exact_options, &trace);
+    const bool lazy_matches =
+        trace.inside_horizon
+            ? value_identical(exact, capped)
+            : value_identical(exact, capped) ||
+                  std::fabs(exact - capped) <=
+                      exact_options.rel_tol * std::fabs(capped);
+    if (!lazy_matches) record(result, job, "lazy_vs_capped", capped, exact);
     if (p == 0) {
       // No faults, no sampling: the series IS the first visit, bitwise.
       if (!value_identical(exact, first_visit)) {

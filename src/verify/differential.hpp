@@ -163,6 +163,10 @@ struct DifferentialOptions {
 /// realization of the SAME per-visit fault model (eval/montecarlo
 /// mc_expected_detection_time), on the unbounded A(n, f) backend at the
 /// fuzzer's adversarial targets.  Per target:
+///   * lazy_vs_capped: the lazy merge agrees with the capped reference
+///     (detail::expected_detection_time_capped) bit for bit whenever the
+///     capped pass settled inside its horizon, and within rel_tol
+///     otherwise;
 ///   * p == 0: expected_detection_time collapses to the fault-free first
 ///     visit, bit for bit (no sampling involved);
 ///   * p past the ladder threshold kappa^(-1/n): the engine must report

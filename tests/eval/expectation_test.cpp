@@ -22,18 +22,25 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "analysis/stats.hpp"
 #include "core/algorithm.hpp"
 #include "core/competitive.hpp"
 #include "eval/cr_eval.hpp"
 #include "eval/montecarlo.hpp"
 #include "eval/validation.hpp"
+#include "obs/metrics.hpp"
+#include "sim/analytic.hpp"
+#include "sim/faults.hpp"
 #include "svc/query.hpp"
 #include "svc/server.hpp"
 #include "util/csv.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 #include "verify/differential.hpp"
 #include "verify/invariants.hpp"
 
@@ -222,6 +229,79 @@ TEST(ExpectedDetectionTime, MatchesAnIndependentSeriesSummation) {
   EXPECT_NEAR(static_cast<double>(exact / manual), 1.0, 1e-9);
 }
 
+TEST(ExpectedDetectionTime, LazyMergeFixesTheCappedHorizonCase) {
+  // A(4, 2) at p = 0.7, at the scan's right-limit probe past 3*sqrt(3)
+  // (window_hi 7.708, no interior samples).  The series needs more terms
+  // than the capped reference's first pass has before the earliest
+  // robot's last built visit, so the capped pass sums visits out of
+  // order there and lands on different bits.  Both must sit within
+  // rel_tol of a brute-force sum over a long materialized prefix, cut at
+  // the earliest robot's last built visit so no visit is missing.
+  const Fleet fleet = ProportionalAlgorithm(4, 2).build_unbounded_fleet();
+  const ExpectationOptions options = expectation_at(0.7L);
+  const Real x = 3 * std::sqrt(Real{3}) * (1 + Real{1e-9L});
+  detail::CappedTrace trace;
+  const Real capped =
+      detail::expected_detection_time_capped(fleet, x, options, &trace);
+  const Real lazy = expected_detection_time(fleet, x, options);
+  EXPECT_FALSE(trace.inside_horizon);
+  EXPECT_FALSE(value_identical(lazy, capped));
+
+  std::vector<Real> merged;
+  Real horizon = kInfinity;
+  for (std::size_t robot = 0; robot < fleet.size(); ++robot) {
+    const std::vector<Real> visits = fleet.robot(robot).visit_times(x, 8000);
+    ASSERT_EQ(visits.size(), 8000u);
+    horizon = std::min(horizon, visits.back());
+    merged.insert(merged.end(), visits.begin(), visits.end());
+  }
+  std::sort(merged.begin(), merged.end());
+  Real brute = 0;
+  Real term = 0;
+  for (std::size_t k = 0; k < merged.size() && merged[k] <= horizon; ++k) {
+    term = (k == 0) ? (1 - options.p) * merged[k]
+                    : term * options.p * (merged[k] / merged[k - 1]);
+    brute += term;
+  }
+  EXPECT_LE(std::fabs(lazy - brute), options.rel_tol * brute);
+  EXPECT_LE(std::fabs(capped - brute), options.rel_tol * brute);
+}
+
+TEST(ExpectedDetectionTime, MaxVisitsCapsTheTermsConsumed) {
+  // Near the threshold (A(2, 1) at p = 0.7) the series needs thousands of
+  // terms.  A 64-term cap stops the merge there and extrapolates the
+  // last window's closed-form tail, which lands close to the full sum.
+  const Fleet fleet = ProportionalAlgorithm(2, 1).build_unbounded_fleet();
+  ExpectationOptions capped = expectation_at(0.7L);
+  capped.max_visits = 64;
+  obs::Registry::instance().reset();
+  const Real short_sum = expected_detection_time(fleet, 3.0L, capped);
+  if constexpr (obs::kEnabled) {
+    std::uint64_t terms = 0;
+    for (const obs::MetricSnapshot& snap :
+         obs::Registry::instance().snapshot()) {
+      if (snap.name == "eval.expectation.visits") terms = snap.value;
+    }
+    EXPECT_EQ(terms, 64u);
+  }
+  const Real full = expected_detection_time(fleet, 3.0L, expectation_at(0.7L));
+  ASSERT_TRUE(std::isfinite(static_cast<double>(full)));
+  EXPECT_NEAR(static_cast<double>(short_sum / full), 1.0, 1e-2);
+}
+
+TEST(ExpectedDetectionTime, RaysLeaveNeverDetectMassOrNeverVisit) {
+  // Unbounded robots whose visit lists are finite (a ray passes x once)
+  // or empty (the other half-line): the merge runs out, so E[T] is
+  // kInfinity either way.
+  const Fleet rays({Trajectory(std::make_shared<AnalyticRay>(1)),
+                    Trajectory(std::make_shared<AnalyticRay>(1))});
+  EXPECT_TRUE(value_identical(
+      expected_detection_time(rays, 2.0L, expectation_at(0.3L)), kInfinity));
+  EXPECT_TRUE(value_identical(
+      expected_detection_time(rays, -2.0L, expectation_at(0.3L)),
+      kInfinity));
+}
+
 TEST(ExpectedDetectionTime, GuardsRejectBadInput) {
   const Fleet fleet = ProportionalAlgorithm(3, 1).build_unbounded_fleet();
   EXPECT_THROW(
@@ -241,6 +321,97 @@ TEST(ExpectedDetectionTime, GuardsRejectBadInput) {
   bad_cap.max_visits = 8;
   EXPECT_THROW((void)expected_detection_time(fleet, 1, bad_cap),
                PreconditionError);
+}
+
+// ---------------------------------------------------------------------------
+// Monte-Carlo oracle
+// ---------------------------------------------------------------------------
+
+/// ProbabilisticFaults::detection_time as one full-cap fetch per robot:
+/// the reference the growing-prefix fetch must reproduce exactly.
+Real full_cap_detection_time(const Fleet& fleet, const Real target,
+                             const ProbabilisticFaultConfig& config) {
+  Real earliest = kInfinity;
+  for (std::size_t robot = 0; robot < fleet.size(); ++robot) {
+    const std::vector<Real> visits =
+        fleet.robot(robot).visit_times(target, config.max_visits);
+    for (std::size_t k = 0; k < visits.size(); ++k) {
+      if (!std::isfinite(visits[k])) break;
+      if (visits[k] >= earliest) break;
+      if (!probabilistic_visit_fails(config.seed, robot, k, config.p)) {
+        earliest = visits[k];
+        break;
+      }
+    }
+  }
+  return earliest;
+}
+
+TEST(ProbabilisticMonteCarlo, PrefixFetchMatchesTheFullCapLoop) {
+  // Deep-fault p (many failed visits per robot) and horizons that end
+  // on, between and past the prefix caps 16 and 128, on unbounded and
+  // bounded fleets.
+  struct Case {
+    int n;
+    int f;
+    bool bounded;
+    Real p;
+    std::size_t max_visits;
+  };
+  const std::vector<Case> cases = {
+      {3, 1, false, 0.5L, 600},  {12, 8, false, 0.9L, 600},
+      {2, 1, false, 0.95L, 16},  {4, 2, false, 0.97L, 20},
+      {5, 3, false, 0.98L, 130}, {3, 1, true, 0.9L, 4096}};
+  for (const Case& c : cases) {
+    const ProportionalAlgorithm algo(c.n, c.f);
+    const Fleet fleet =
+        c.bounded ? algo.build_fleet(64) : algo.build_unbounded_fleet();
+    for (const Real x : {1.5L, -4.0L, 11.0L}) {
+      const std::string context =
+          "n=" + std::to_string(c.n) + " f=" + std::to_string(c.f) +
+          " p=" + std::to_string(static_cast<double>(c.p)) +
+          " cap=" + std::to_string(c.max_visits) +
+          " x=" + std::to_string(static_cast<double>(x));
+      for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+        const ProbabilisticFaultConfig config{
+            .p = c.p, .seed = seed * 0x9E3779B97F4A7C15ULL,
+            .max_visits = c.max_visits};
+        ProbabilisticFaults model(config);
+        ASSERT_TRUE(value_identical(model.detection_time(fleet, x, 0),
+                                    full_cap_detection_time(fleet, x, config)))
+            << context << " seed=" << seed;
+      }
+      // The estimator built on it: identical mean, stddev, undetected.
+      ProbabilisticMcOptions options;
+      options.p = c.p;
+      options.trials = 200;
+      options.seed = 0xfeedULL + static_cast<std::uint64_t>(c.n);
+      options.max_visits = c.max_visits;
+      const ProbabilisticMcResult mc =
+          mc_expected_detection_time(fleet, x, options);
+      SplitMix64 seeds(options.seed);
+      std::vector<Real> times;
+      int undetected = 0;
+      for (int trial = 0; trial < options.trials; ++trial) {
+        const Real t = full_cap_detection_time(
+            fleet, x,
+            {.p = c.p, .seed = seeds.next(), .max_visits = c.max_visits});
+        if (std::isinf(t)) {
+          ++undetected;
+        } else {
+          times.push_back(t);
+        }
+      }
+      EXPECT_EQ(mc.undetected, undetected) << context;
+      if (times.empty()) {
+        EXPECT_TRUE(std::isnan(static_cast<double>(mc.mean))) << context;
+        continue;
+      }
+      const Summary reference = summarize(times);
+      EXPECT_TRUE(value_identical(mc.mean, reference.mean)) << context;
+      EXPECT_TRUE(value_identical(mc.stddev, reference.stddev)) << context;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

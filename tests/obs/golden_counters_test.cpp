@@ -167,8 +167,10 @@ std::string serialize(const std::vector<PairCounters>& pairs) {
   // schema /3 adds the probabilistic leg: the expectation engine's
   // eval.expectation.* work profile and the query layer's
   // svc.probabilistic_queries count per pair; schema /4 drops the
-  // visit-cache fields (lookups, inserts, hits) with the cache itself.
-  json.field("schema", "linesearch-golden-obs/4");
+  // visit-cache fields (lookups, inserts, hits) with the cache itself;
+  // schema /5 redefines expectation_visits as the series terms the lazy
+  // merge consumed (it was the size of the last capped merged list).
+  json.field("schema", "linesearch-golden-obs/5");
   json.field("window_lo", 1);
   json.field("window_hi", 16);
   json.key("pairs").begin_array();

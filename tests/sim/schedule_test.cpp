@@ -5,13 +5,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
+#include <string>
+#include <vector>
 
+#include "core/algorithm.hpp"
 #include "sim/analytic.hpp"
+#include "sim/faults.hpp"
+#include "sim/fleet.hpp"
 #include "sim/trajectory.hpp"
 #include "sim/zigzag.hpp"
 #include "util/error.hpp"
+#include "obs/metrics.hpp"
 #include "verify/invariants.hpp"
 
 namespace linesearch {
@@ -191,6 +198,154 @@ TEST(AnalyticZigzag, RejectsInvalidSpecs) {
       AnalyticZigzag({.head = {{0, 0}, {1, 1}}, .kappa = 2, .barrier = 0.5L}),
       PreconditionError);  // barrier inside the seed magnitude
   EXPECT_THROW(AnalyticRay(0), PreconditionError);
+}
+
+// ---------------------------------------------------------------------------
+// Visit cursors: the lazy stream must be visit_times, one visit at a time
+// ---------------------------------------------------------------------------
+
+/// Drains up to 256 visits from schedule.visit_cursor(x) and checks the
+/// cursor contract: for every k <= 256 the first k streamed values equal
+/// visit_times(x, k) bit for bit, and an exhausted cursor stays
+/// exhausted.  Returns the streamed prefix.
+std::vector<Real> expect_cursor_matches_visit_times(
+    const ScheduleSource& schedule, const Real x, const std::string& context) {
+  constexpr std::size_t kPrefix = 256;
+  const std::unique_ptr<VisitCursor> cursor = schedule.visit_cursor(x);
+  std::vector<Real> streamed;
+  Real t = 0;
+  bool exhausted = false;
+  while (streamed.size() < kPrefix) {
+    if (!cursor->next(&t)) {
+      exhausted = true;
+      break;
+    }
+    streamed.push_back(t);
+  }
+  if (exhausted) {
+    EXPECT_FALSE(cursor->next(&t)) << context;
+    EXPECT_FALSE(cursor->next(&t)) << context;
+  }
+  for (std::size_t k = 0; k <= kPrefix; ++k) {
+    const std::vector<Real> capped = schedule.visit_times(x, k);
+    EXPECT_EQ(capped.size(), std::min(k, streamed.size()))
+        << context << " k=" << k;
+    for (std::size_t i = 0; i < std::min(capped.size(), streamed.size());
+         ++i) {
+      EXPECT_TRUE(value_identical(capped[i], streamed[i]))
+          << context << " k=" << k << " visit " << i;
+    }
+  }
+  return streamed;
+}
+
+TEST(VisitCursor, DenseStreamMatchesVisitTimes) {
+  // Start on 0, turn on 2 after a dwell there, turn on -1, pass 0 again.
+  const DenseSchedule schedule({{0, 0},
+                                {2, 2},
+                                {3, 2},
+                                {6, -1},
+                                {9, 2},
+                                {10, 3}});
+  EXPECT_EQ(expect_cursor_matches_visit_times(schedule, 0, "start").size(),
+            3u);
+  EXPECT_EQ(expect_cursor_matches_visit_times(schedule, 2, "dwell").size(),
+            2u);
+  EXPECT_EQ(expect_cursor_matches_visit_times(schedule, -1, "turn").size(),
+            1u);
+  EXPECT_EQ(expect_cursor_matches_visit_times(schedule, 1.5L, "pass").size(),
+            3u);
+  EXPECT_TRUE(expect_cursor_matches_visit_times(schedule, 7, "never").empty());
+  const DenseSchedule single({{1, 4}});
+  EXPECT_EQ(expect_cursor_matches_visit_times(single, 4, "point").size(), 1u);
+  EXPECT_TRUE(expect_cursor_matches_visit_times(single, 3, "off").empty());
+}
+
+TEST(VisitCursor, DenseStreamSpansSeveralRequeries) {
+  // More visits than the base cursor's first caps (16, then 128), so the
+  // stream crosses two re-queries.
+  const Trajectory robot =
+      make_origin_zigzag({.beta = 3, .first_turn = 1, .min_coverage = 1e60L});
+  EXPECT_GT(
+      expect_cursor_matches_visit_times(robot.source(), 0.75L, "zigzag")
+          .size(),
+      128u);
+}
+
+TEST(VisitCursor, AnalyticZigzagStreamMatchesVisitTimes) {
+  const AnalyticZigzag doubling(origin_doubling_spec());
+  for (const Real x : {0.0L, 1.0L, -2.0L, 4.0L, 0.5L, -3.0L, 1e6L}) {
+    EXPECT_EQ(expect_cursor_matches_visit_times(
+                  doubling, x, "unbounded x=" + std::to_string(
+                                   static_cast<double>(x)))
+                  .size(),
+              256u);
+  }
+  // A dwell on x = 1 inside the head, then the ladder from the seed 2.
+  const AnalyticZigzag dwell(
+      {.head = {{0, 0}, {1, 1}, {3, 1}, {4, 2}}, .kappa = 2});
+  EXPECT_EQ(expect_cursor_matches_visit_times(dwell, 1, "dwell").size(),
+            256u);
+  // Barrier mode: finite schedule, and nothing past the barrier.
+  const AnalyticZigzag barrier(
+      {.head = {{0, 0}, {1, 1}}, .kappa = 2, .barrier = 100});
+  for (const Real x : {0.0L, 1.0L, 64.0L, -100.0L, 100.0L, 7.5L}) {
+    const std::vector<Real> streamed = expect_cursor_matches_visit_times(
+        barrier, x, "barrier x=" + std::to_string(static_cast<double>(x)));
+    EXPECT_FALSE(streamed.empty());
+    EXPECT_LT(streamed.size(), 256u);
+  }
+  EXPECT_TRUE(
+      expect_cursor_matches_visit_times(barrier, 101, "beyond").empty());
+}
+
+TEST(VisitCursor, AnalyticZigzagCursorCountsOneWalk) {
+  const AnalyticZigzag doubling(origin_doubling_spec());
+  obs::Registry::instance().reset();
+  const std::unique_ptr<VisitCursor> cursor = doubling.visit_cursor(3);
+  Real t = 0;
+  for (int i = 0; i < 50; ++i) ASSERT_TRUE(cursor->next(&t));
+  if constexpr (obs::kEnabled) {
+    std::uint64_t walks = 0;
+    for (const obs::MetricSnapshot& snap :
+         obs::Registry::instance().snapshot()) {
+      if (snap.name == "sim.analytic.visit_queries") walks = snap.value;
+    }
+    EXPECT_EQ(walks, 1u);
+  }
+}
+
+TEST(VisitCursor, AnalyticRayStreamMatchesVisitTimes) {
+  const AnalyticRay right(1);
+  EXPECT_EQ(expect_cursor_matches_visit_times(right, 0, "start").size(), 1u);
+  EXPECT_EQ(expect_cursor_matches_visit_times(right, 5, "ahead").size(), 1u);
+  EXPECT_TRUE(expect_cursor_matches_visit_times(right, -5, "behind").empty());
+}
+
+TEST(VisitCursor, CrashTruncatedStreamMatchesVisitTimes) {
+  const Fleet fleet = ProportionalAlgorithm(3, 1).build_unbounded_fleet();
+  const Fleet crashed = truncate_at_crashes(fleet, {40, 0, kInfinity});
+  for (std::size_t robot = 0; robot < crashed.size(); ++robot) {
+    const ScheduleSource& schedule =
+        crashed.robot(static_cast<RobotId>(robot)).source();
+    for (const Real x : {0.0L, 1.0L, -2.5L, 3.0L, 1e9L}) {
+      const std::vector<Real> streamed = expect_cursor_matches_visit_times(
+          schedule, x,
+          "robot " + std::to_string(robot) +
+              " x=" + std::to_string(static_cast<double>(x)));
+      if (robot == 0) {
+        EXPECT_LT(streamed.size(), 256u);
+      }
+    }
+  }
+  // The robot that crashed at t = 0 sits on the origin and nowhere else.
+  EXPECT_EQ(expect_cursor_matches_visit_times(crashed.robot(1).source(), 0,
+                                              "crashed at start")
+                .size(),
+            1u);
+  EXPECT_TRUE(expect_cursor_matches_visit_times(crashed.robot(1).source(), 1,
+                                                "crashed never")
+                  .empty());
 }
 
 }  // namespace
