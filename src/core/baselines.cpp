@@ -79,7 +79,7 @@ Fleet GroupDoubling::build_fleet(const Real extent) const {
 
 Fleet GroupDoubling::build_unbounded_fleet() const {
   // The whole pack shares ONE analytic backend: n views over the same
-  // O(1) schedule state (and the same visit-cache slots downstream).
+  // O(1) schedule state.
   const Trajectory shared =
       make_analytic_origin_zigzag({.beta = 3, .first_turn = 1});
   return Fleet(std::vector<Trajectory>(static_cast<std::size_t>(n_), shared));

@@ -191,13 +191,14 @@ CrEvalResult measure_cr_with(const Fleet& fleet, const int f,
 }  // namespace detail
 
 CrEvalResult measure_cr(const Fleet& fleet, const int f,
-                        const CrEvalOptions& options) {
+                        const CrEvalOptions& options,
+                        const kernels::AnchorProfile* profile) {
   // SoA fast path (eval/kernels): same probes, same scan, detection
   // times batched through one frontier sweep per robot.  The scalar
   // reference below it stays reachable through detail::measure_cr_with
   // with a direct oracle — the scalar-vs-SIMD differential holds the two
   // bit-identical.
-  return kernels::measure_cr_kernel(fleet, f, options);
+  return kernels::measure_cr_kernel(fleet, f, options, profile);
 }
 
 std::vector<Real> k_profile(const Fleet& fleet, const int f,

@@ -34,6 +34,10 @@
 
 namespace linesearch {
 
+namespace kernels {
+class AnchorProfile;
+}  // namespace kernels
+
 /// Options for measure_cr.
 struct CrEvalOptions {
   Real window_lo = 1;   ///< smallest target magnitude (the paper fixes 1)
@@ -61,8 +65,11 @@ struct CrEvalResult {
 /// window_hi (enough that T_{f+1} is realized inside the horizon); with
 /// require_finite the evaluator throws NumericError if it ever sees an
 /// undetected probe, which is the symptom of an under-built fleet.
-[[nodiscard]] CrEvalResult measure_cr(const Fleet& fleet, int f,
-                                      const CrEvalOptions& options = {});
+/// An optional anchor profile of (fleet, f) supplies cached turn
+/// detection times (eval/kernels); the result is bitwise the same.
+[[nodiscard]] CrEvalResult measure_cr(
+    const Fleet& fleet, int f, const CrEvalOptions& options = {},
+    const kernels::AnchorProfile* profile = nullptr);
 
 /// The profile K(x) sampled at explicit positions (for Figure-4-style
 /// plots); entries are detection_time(x, f)/|x|.

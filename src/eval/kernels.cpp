@@ -170,6 +170,82 @@ void fill_visit_columns(const Fleet& fleet, const int f,
   }
 }
 
+AnchorProfile::AnchorProfile(const int budget) : budget_(budget) {
+  expects(budget >= 0, "AnchorProfile: budget must be >= 0");
+}
+
+bool AnchorProfile::reaches(const Real magnitude) const noexcept {
+  return (positive_.capped || positive_.extent >= magnitude) &&
+         (negative_.capped || negative_.extent >= magnitude);
+}
+
+AnchorProfile AnchorProfile::grown(const Fleet& fleet,
+                                   const Real extent) const {
+  // An infinite extent would never end an unbounded fleet's turn walk.
+  expects(std::isfinite(extent), "AnchorProfile: extent must be finite");
+  AnchorProfile next = *this;
+  next.extent_ = std::max(extent_, extent);
+  // The new turns of both sides in one batch: per side, the turns, then
+  // their right-limits.
+  static thread_local ProbeBatch batch;
+  static thread_local VisitColumns columns;
+  batch.magnitudes.clear();
+  batch.sides.clear();
+  batch.positive_count = 0;
+  std::size_t added[2] = {0, 0};  // [side > 0]
+  for (const int side : {+1, -1}) {
+    Side& held = side > 0 ? next.positive_ : next.negative_;
+    if (held.capped || extent <= held.extent) continue;
+    std::vector<Real> fresh =
+        fleet.turning_positions_in(side, held.extent, extent);
+    // Magnitudes at or below the old extent are already held.
+    fresh.erase(fresh.begin(), std::upper_bound(fresh.begin(), fresh.end(),
+                                                held.extent));
+    const std::size_t room = kMaxTurnsPerSide - held.turns.size();
+    if (fresh.size() > room) {
+      // Cut below the first turn that does not fit, and below every
+      // copy of it, so the side still holds every turn up to its extent.
+      const Real first_left_out = fresh[room];
+      fresh.resize(room);
+      while (!fresh.empty() && fresh.back() == first_left_out) {
+        fresh.pop_back();
+      }
+      held.capped = true;
+      if (!fresh.empty()) held.extent = fresh.back();
+    } else {
+      held.extent = extent;
+    }
+    added[side > 0] = fresh.size();
+    batch.magnitudes.insert(batch.magnitudes.end(), fresh.begin(),
+                            fresh.end());
+    for (const Real turn : fresh) {
+      batch.magnitudes.push_back(turn * (1 + tol::kLimitProbe));
+    }
+    batch.sides.insert(batch.sides.end(), 2 * fresh.size(),
+                       static_cast<std::int8_t>(side));
+    if (side > 0) batch.positive_count = batch.size();
+  }
+  if (batch.size() == 0) return next;
+  fill_visit_columns(fleet, budget_, batch, columns);
+  const Real* magnitudes = batch.magnitudes.data();
+  const Real* times = columns.detection.data();
+  for (const int side : {+1, -1}) {
+    const std::size_t count = added[side > 0];
+    if (count == 0) continue;
+    std::vector<Turn>& turns = (side > 0 ? next.positive_ : next.negative_)
+                                   .turns;
+    turns.reserve(turns.size() + count);
+    for (std::size_t i = 0; i < count; ++i) {
+      turns.push_back({.magnitude = magnitudes[i],
+                       .time = times[i],
+                       .limit_time = times[count + i]});
+    }
+    magnitudes += 2 * count;
+    times += 2 * count;
+  }
+  return next;
+}
+
 namespace {
 
 /// Slack of the prune bound, relative to the magnitudes the bound is
@@ -211,16 +287,69 @@ struct ScanScratch {
   VisitColumns sample_columns;
   std::vector<std::uint32_t> by_value;
   std::vector<std::uint32_t> slot_of;
+  // Profile path only.
+  std::vector<Real> turns;         ///< one side's window turns
+  std::vector<Real> anchor_times;  ///< per anchor; NaN until known
+  ProbeBatch unknown;              ///< the anchors no cached time covers
+  std::vector<std::uint32_t> unknown_slots;  ///< their anchor slots
 };
+
+/// The window's turns on one side, as turning_positions_in(side, lo,
+/// hi) returns them: the profile's slice, plus the fleet's own
+/// enumeration past the profile's extent.  Returns the slice's first
+/// cached turn.
+const AnchorProfile::Turn* profile_turns(const Fleet& fleet,
+                                         const AnchorProfile::Side& held,
+                                         const int side, const Real lo,
+                                         const Real hi,
+                                         std::vector<Real>& turns) {
+  const auto below = [](const AnchorProfile::Turn& turn, const Real m) {
+    return turn.magnitude < m;
+  };
+  const auto above = [](const Real m, const AnchorProfile::Turn& turn) {
+    return m < turn.magnitude;
+  };
+  const auto begin =
+      std::lower_bound(held.turns.begin(), held.turns.end(), lo, below);
+  const auto end = hi < held.extent
+                       ? std::upper_bound(begin, held.turns.end(), hi, above)
+                       : held.turns.end();
+  turns.clear();
+  for (auto turn = begin; turn != end; ++turn) {
+    turns.push_back(turn->magnitude);
+  }
+  if (hi > held.extent) {
+    const std::vector<Real> beyond =
+        fleet.turning_positions_in(side, std::max(lo, held.extent), hi);
+    turns.insert(turns.end(),
+                 std::upper_bound(beyond.begin(), beyond.end(), held.extent),
+                 beyond.end());
+  }
+  return std::to_address(begin);
+}
 
 /// Pass 1 for one half-line: the emission of detail::probe_magnitudes
 /// with every countable piece replaced by a SampleRun, appended to
 /// scratch.anchors / scratch.runs and deduplicated exactly like the
-/// scalar emission (first occurrence kept, exact equality).
+/// scalar emission (first occurrence kept, exact equality).  With a
+/// profile side, the turns come from the profile and each anchor's
+/// cached time, if any, goes to scratch.anchor_times (NaN otherwise).
 void emit_side(const Fleet& fleet, const int side,
-               const CrEvalOptions& options, ScanScratch& scratch) {
-  std::vector<Real> turns = fleet.turning_positions_in(
-      side, options.window_lo * (1 - tol::kRelative), options.window_hi);
+               const CrEvalOptions& options,
+               const AnchorProfile::Side* held, ScanScratch& scratch) {
+  const Real slack_lo = options.window_lo * (1 - tol::kRelative);
+  std::vector<Real> own_turns;
+  // Cached turns at and past `cursor` (profile path only).
+  const AnchorProfile::Turn* cursor = nullptr;
+  const AnchorProfile::Turn* cached_end = nullptr;
+  if (held != nullptr) {
+    cursor = profile_turns(fleet, *held, side, slack_lo, options.window_hi,
+                           scratch.turns);
+    cached_end = held->turns.data() + held->turns.size();
+  } else {
+    own_turns = fleet.turning_positions_in(side, slack_lo, options.window_hi);
+  }
+  std::vector<Real>& turns = held != nullptr ? scratch.turns : own_turns;
   turns.push_back(options.window_lo);
   turns.push_back(options.window_hi);
   std::sort(turns.begin(), turns.end());
@@ -238,21 +367,40 @@ void emit_side(const Fleet& fleet, const int side,
   const std::size_t runs_begin = scratch.runs.size();
   // Largest magnitude emitted so far on this side, samples included.
   Real emitted_max = 0;
-  const auto push = [&](const Real magnitude) {
+  const auto push = [&](const Real magnitude, const Real cached_time) {
     anchors.magnitudes.push_back(magnitude);
     anchors.sides.push_back(static_cast<std::int8_t>(side));
+    if (held != nullptr) scratch.anchor_times.push_back(cached_time);
     emitted_max = std::max(emitted_max, magnitude);
+  };
+  // Cached times of turns[i] and of its right-limit: `cursor` walks the
+  // profile's ascending turns alongside the ascending window turns.  A
+  // window end bit-equal to a cached turn is found the same way.  One
+  // bit-equal to a cached right-limit tau*(1+1e-9) is dropped by the
+  // approx-dedup above in favour of tau, whose right-limit probe takes
+  // the cached time; should it survive, it is filled like any other.
+  Real turn_time = kNaN;
+  Real limit_time = kNaN;
+  const auto look_up = [&](const Real turn) {
+    turn_time = kNaN;
+    limit_time = kNaN;
+    while (cursor != cached_end && cursor->magnitude < turn) ++cursor;
+    if (cursor != cached_end && cursor->magnitude == turn) {
+      turn_time = cursor->time;
+      limit_time = cursor->limit_time;
+    }
   };
   const int k = options.interior_samples;
   SampleRun* open_run = nullptr;  // the run whose hi is the next turn
   for (std::size_t i = 0; i < turns.size(); ++i) {
+    look_up(turns[i]);
     const Real limit = turns[i] * (1 + tol::kLimitProbe);
-    if (in_window(limit)) push(limit);
+    if (in_window(limit)) push(limit, limit_time);
     if (in_window(turns[i])) {
       if (open_run != nullptr) {
         open_run->hi_slot = static_cast<std::uint32_t>(anchors.size());
       }
-      push(turns[i]);
+      push(turns[i], turn_time);
     }
     open_run = nullptr;
     if (i + 1 == turns.size() || k <= 0) continue;
@@ -281,7 +429,7 @@ void emit_side(const Fleet& fleet, const int side,
     } else {
       for (int s = 1; s <= k; ++s) {
         const Real sample = interior_sample(lo, hi, s, k);
-        if (in_window(sample)) push(sample);
+        if (in_window(sample)) push(sample, kNaN);
       }
     }
   }
@@ -310,15 +458,19 @@ void emit_side(const Fleet& fleet, const int side,
       slot_of[by_value[j]] = kNoSlot;
     }
   }
+  Real* times = held != nullptr ? scratch.anchor_times.data() + side_begin
+                                : nullptr;
   std::uint32_t kept = 0;
   for (std::size_t j = 0; j < count; ++j) {
     if (slot_of[j] == kNoSlot) continue;
     slot_of[j] = kept;
+    if (times != nullptr) times[kept] = times[j];
     magnitudes[kept++] = magnitudes[j];
   }
   slot_of[count] = kept;
   anchors.magnitudes.resize(side_begin + kept);
   anchors.sides.resize(side_begin + kept);
+  if (held != nullptr) scratch.anchor_times.resize(side_begin + kept);
   // Rebase each run onto absolute deduped slots.  `after` counts the
   // kept probes before the run: the first kept slot at or past it.
   for (std::size_t r = runs_begin; r < scratch.runs.size(); ++r) {
@@ -335,10 +487,40 @@ void emit_side(const Fleet& fleet, const int side,
   }
 }
 
+/// Profile path of pass 1: fill the anchors whose scratch.anchor_times
+/// entry is still NaN (no cached time) in one call and store their
+/// times; scratch.unknown_slots lists them.
+void fill_unknown_anchors(const Fleet& fleet, const int f,
+                          ScanScratch& scratch) {
+  const ProbeBatch& anchors = scratch.anchors;
+  ProbeBatch& unknown = scratch.unknown;
+  std::vector<std::uint32_t>& slots = scratch.unknown_slots;
+  unknown.magnitudes.clear();
+  unknown.sides.clear();
+  unknown.positive_count = 0;
+  slots.clear();
+  for (std::size_t a = 0; a < anchors.size(); ++a) {
+    if (std::isnan(scratch.anchor_times[a])) {
+      unknown.magnitudes.push_back(anchors.magnitudes[a]);
+      unknown.sides.push_back(anchors.sides[a]);
+      slots.push_back(static_cast<std::uint32_t>(a));
+    }
+    if (a + 1 == anchors.positive_count) {
+      unknown.positive_count = slots.size();
+    }
+  }
+  if (slots.empty()) return;
+  fill_visit_columns(fleet, f, unknown, scratch.anchor_columns);
+  for (std::size_t u = 0; u < slots.size(); ++u) {
+    scratch.anchor_times[slots[u]] = scratch.anchor_columns.detection[u];
+  }
+}
+
 }  // namespace
 
 CrEvalResult measure_cr_kernel(const Fleet& fleet, const int f,
-                               const CrEvalOptions& options) {
+                               const CrEvalOptions& options,
+                               const AnchorProfile* profile) {
   // Same preconditions, span, counters and scan semantics as
   // detail::measure_cr_with.  The detection times are precomputed in
   // bulk instead of queried one probe at a time, and the interior
@@ -348,6 +530,8 @@ CrEvalResult measure_cr_kernel(const Fleet& fleet, const int f,
   expects(options.window_lo > 0, "measure_cr: window_lo must be positive");
   expects(options.window_hi > options.window_lo,
           "measure_cr: window_hi must exceed window_lo");
+  expects(profile == nullptr || profile->budget() == f,
+          "measure_cr: anchor profile built for another fault budget");
   LS_OBS_SPAN("eval.cr.scan");
 
   // Reused across calls on each thread so the working arrays are
@@ -362,15 +546,25 @@ CrEvalResult measure_cr_kernel(const Fleet& fleet, const int f,
   samples.magnitudes.clear();
   samples.sides.clear();
   runs.clear();
+  scratch.anchor_times.clear();
 
   // Pass 1: anchors (window ends, turns, right-limits, uncountable
-  // samples) of both sides in one fill.
-  emit_side(fleet, +1, options, scratch);
+  // samples) of both sides in one fill — with a profile, a fill of only
+  // the anchors it holds no time for.
+  emit_side(fleet, +1, options,
+            profile != nullptr ? &profile->side(+1) : nullptr, scratch);
   anchors.positive_count = anchors.size();
   const std::size_t positive_runs = runs.size();
-  emit_side(fleet, -1, options, scratch);
-  fill_visit_columns(fleet, f, anchors, scratch.anchor_columns);
-  const std::vector<Real>& anchor_times = scratch.anchor_columns.detection;
+  emit_side(fleet, -1, options,
+            profile != nullptr ? &profile->side(-1) : nullptr, scratch);
+  if (profile == nullptr) {
+    fill_visit_columns(fleet, f, anchors, scratch.anchor_columns);
+  } else {
+    fill_unknown_anchors(fleet, f, scratch);
+  }
+  const std::vector<Real>& anchor_times =
+      profile == nullptr ? scratch.anchor_columns.detection
+                         : scratch.anchor_times;
 
   // Pass 2: the prune bound per run (kernels.hpp derives it), then one
   // fill for the survivors.  A pruned run's samples have
@@ -501,7 +695,10 @@ CrEvalResult measure_cr_kernel(const Fleet& fleet, const int f,
     result.argmax = pos_best_x;
   }
   LS_OBS_COUNT("eval.cr.probes", result.probes);
-  LS_OBS_COUNT("eval.cr.probes_evaluated", anchors.size() + samples.size());
+  LS_OBS_COUNT("eval.cr.probes_evaluated",
+               (profile == nullptr ? anchors.size()
+                                   : scratch.unknown_slots.size()) +
+                   samples.size());
   LS_OBS_COUNT("eval.cr.undetected_probes", result.undetected_probes);
   LS_OBS_COUNT("eval.cr.supremum_refinements", refinements);
   LS_OBS_OBSERVE("eval.cr.probes_per_scan", result.probes,

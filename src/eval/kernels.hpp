@@ -49,9 +49,16 @@
 // points, which is why nearly every run is pruned on a zig-zag fleet;
 // the bound itself needs no such structure.
 //
-// Bit-identity contract: measure_cr_kernel(fleet, f, options) equals
-// detail::measure_cr_with with the direct Fleet::detection_time oracle
-// on EVERY result field, bitwise, in both the SIMD and the scalar
+// An AnchorProfile caches the turns of one (fleet, f) pair and their
+// detection times; a scan given one fills only the anchors it does not
+// hold (window ends, their right-limits, uncountable samples, turns past
+// its extent).  The query service keeps one per shared backend and
+// budget.
+//
+// Bit-identity contract: measure_cr_kernel(fleet, f, options), with or
+// without a profile, equals detail::measure_cr_with with the direct
+// Fleet::detection_time oracle on EVERY result field, bitwise, in both
+// the SIMD and the scalar
 // fallback build (util/simd.hpp).  The contract is enforced by the
 // scalar-vs-SIMD differential engine (verify/differential) and the
 // kernel test suite; the speed comes from eliminating per-probe heap
@@ -113,12 +120,85 @@ struct VisitColumns {
 void fill_visit_columns(const Fleet& fleet, int f, const ProbeBatch& batch,
                         VisitColumns& columns);
 
+/// The turning points of one (fleet, fault budget) pair and their
+/// detection times, cached for every scan of that pair.  By Lemma 3 a
+/// CR scan is anchored at the turns and their right-limits
+/// tau*(1+1e-9); both depend on the fleet and the budget alone, not on
+/// the scan's window.  For each side the profile holds every raw turn
+/// magnitude up to its extent, in the order turning_positions_in(side,
+/// 0, extent) returns them (ascending, duplicates across robots kept),
+/// with T_{budget+1} at the turn and at its right-limit, as one
+/// fill_visit_columns call computed them.
+///
+/// A profile is immutable.  grown() copies it and fills only the turns
+/// past the old extent, so a caller walking windows upward pays for
+/// each turn once.  A side stops growing at kMaxTurnsPerSide turns; its
+/// extent then stays at the last turn it holds, and scans past it
+/// enumerate and fill the rest as they would without a profile.
+/// A profile must only be passed to scans of the fleet it was built from.
+class AnchorProfile {
+ public:
+  /// One cached turn: 48 bytes.
+  struct Turn {
+    Real magnitude = 0;   ///< raw turn magnitude tau
+    Real time = 0;        ///< T_{budget+1} at side * tau
+    Real limit_time = 0;  ///< T_{budget+1} at side * tau*(1+kLimitProbe)
+  };
+
+  /// Turns one side may hold, so a profile holds at most 96 KiB, and a
+  /// service registry of 256 backends at two budgets at most 48 MiB.
+  /// A(12, 11), the densest regime pair with n <= 12, has about 100
+  /// turns a side out to 2^16.
+  static constexpr std::size_t kMaxTurnsPerSide = 1024;
+
+  /// One half-line's cached turns.
+  struct Side {
+    std::vector<Turn> turns;  ///< ascending magnitude
+    Real extent = 0;      ///< every turn of magnitude <= extent is held
+    bool capped = false;  ///< reached kMaxTurnsPerSide; extent is final
+  };
+
+  /// An empty profile (extent 0) for scans at fault budget `budget`.
+  explicit AnchorProfile(int budget);
+
+  /// A copy that also holds every turn up to the finite `extent` on both
+  /// sides (up to the cap): one fill over the new turns only.  An extent
+  /// at or below the current one returns an equal copy.
+  [[nodiscard]] AnchorProfile grown(const Fleet& fleet, Real extent) const;
+
+  [[nodiscard]] int budget() const noexcept { return budget_; }
+  /// The largest extent the profile was grown to.
+  [[nodiscard]] Real extent() const noexcept { return extent_; }
+  [[nodiscard]] const Side& side(int side) const noexcept {
+    return side > 0 ? positive_ : negative_;
+  }
+  /// True when growing to `magnitude` would add nothing: each side
+  /// holds every turn up to it, or is capped.
+  [[nodiscard]] bool reaches(Real magnitude) const noexcept;
+
+ private:
+  int budget_ = 0;
+  Real extent_ = 0;
+  Side positive_;
+  Side negative_;
+};
+
 /// The SoA fast path behind measure_cr: identical contract, result
 /// fields (bitwise) and eval.cr.* counters as the scalar scan, which
 /// records no eval.cr.probes_evaluated (the probes whose detection time
 /// the kernel actually computed).
-[[nodiscard]] CrEvalResult measure_cr_kernel(const Fleet& fleet, int f,
-                                             const CrEvalOptions& options);
+///
+/// With a profile (built from `fleet` at budget f), pass 1 takes the
+/// window's turns from the profile instead of turning_positions_in, and
+/// every anchor whose magnitude bit-equals a cached turn or right-limit
+/// takes the cached time; one fill covers the rest (window ends and
+/// their right-limits, uncountable samples, turns past the extent).
+/// The result is bitwise the profile-free one, since a detection time
+/// depends on the signed position alone; eval.cr.probes_evaluated then
+/// counts only the filled probes.
+[[nodiscard]] CrEvalResult measure_cr_kernel(
+    const Fleet& fleet, int f, const CrEvalOptions& options,
+    const AnchorProfile* profile = nullptr);
 
 /// True when the kernels were compiled with `#pragma omp simd`
 /// (LINESEARCH_SIMD=ON); false in the scalar fallback build.

@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cmath>
+#include <iterator>
 #include <utility>
 
 #include "core/algorithm.hpp"
@@ -27,6 +28,7 @@ struct SvcMetrics {
   obs::MetricId evaluations;
   obs::MetricId backend_builds;
   obs::MetricId backend_hits;
+  obs::MetricId profile_grows;
 
   static const SvcMetrics& instance() {
     static const SvcMetrics metrics = [] {
@@ -43,6 +45,8 @@ struct SvcMetrics {
           registry.counter("svc.backend_builds", /*deterministic=*/false);
       m.backend_hits =
           registry.counter("svc.backend_hits", /*deterministic=*/false);
+      m.profile_grows =
+          registry.counter("svc.profile_grows", /*deterministic=*/false);
       return m;
     }();
     return metrics;
@@ -92,17 +96,46 @@ Fleet build_backend(const CrQuery& canonical) {
   return algorithm.build_unbounded_fleet();
 }
 
+/// Which anchor profile of the backend a query scans with: slot 0 is
+/// budget f (kNone), slot 1 budget 2f (kByzantine's quorum); -1 for the
+/// regimes that run no measure_cr on the shared fleet.
+int profile_slot(const FaultRegime regime) {
+  switch (regime) {
+    case FaultRegime::kNone: return 0;
+    case FaultRegime::kByzantine: return 1;
+    case FaultRegime::kCrash:
+    case FaultRegime::kProbabilistic: break;
+  }
+  return -1;
+}
+
+/// The extent a miss grows its profile to: the next power of two at or
+/// above window_hi (window_hi itself where that would overflow), so
+/// nearby windows share one growth.
+Real profile_extent(const Real window_hi) {
+  int exponent = 0;
+  const Real mantissa = std::frexp(window_hi, &exponent);
+  const Real extent =
+      std::ldexp(Real{1}, mantissa == Real{0.5L} ? exponent - 1 : exponent);
+  return std::isinf(extent) ? window_hi : extent;
+}
+
 /// Measure `canonical` against its (shared or freshly built) backend.
 /// This is the ONE evaluation body both the direct path and the service
 /// run, so caching layers cannot change an answered bit by construction.
+/// The service passes the backend's anchor profile for the query's
+/// budget; the direct path passes none, and the kernel's answer is
+/// bitwise the same either way.
 QueryResult evaluate_on_backend(const CrQuery& canonical,
-                                const Fleet& backend) {
+                                const Fleet& backend,
+                                const kernels::AnchorProfile* profile) {
   QueryResult result;
   switch (canonical.regime) {
     case FaultRegime::kNone: {
       const CrEvalResult scan =
           measure_cr(backend, canonical.f,
-                     eval_options_of(canonical, /*require_finite=*/true));
+                     eval_options_of(canonical, /*require_finite=*/true),
+                     profile);
       result.cr = scan.cr;
       result.argmax = scan.argmax;
       result.cr_positive = scan.cr_positive;
@@ -117,7 +150,8 @@ QueryResult evaluate_on_backend(const CrQuery& canonical,
       // preserved.  Infeasible pairs (n < 2f+1) report cr = kInfinity.
       const CrEvalResult scan =
           measure_cr(backend, 2 * canonical.f,
-                     eval_options_of(canonical, /*require_finite=*/false));
+                     eval_options_of(canonical, /*require_finite=*/false),
+                     profile);
       result.feasible = static_cast<int>(backend.size()) >=
                         2 * canonical.f + 1;
       result.probes = scan.probes;
@@ -264,7 +298,7 @@ QueryResult evaluate_query_direct(const CrQuery& query) {
   LS_OBS_SPAN("svc.query.direct");
   const CrQuery canonical = canonicalize_query(query);
   const Fleet backend = build_backend(canonical);
-  return evaluate_on_backend(canonical, backend);
+  return evaluate_on_backend(canonical, backend, nullptr);
 }
 
 QueryService::QueryService(QueryServiceOptions options)
@@ -279,37 +313,78 @@ QueryService::QueryService(QueryServiceOptions options)
   }
 }
 
-std::shared_ptr<const Fleet> QueryService::backend_for(
-    const CrQuery& canonical) {
-  const std::string key = backend_key(canonical);
+QueryService::Backend QueryService::backend_for(const std::string& key,
+                                               const CrQuery& canonical) {
   const std::lock_guard<std::mutex> lock(backends_mutex_);
   const auto it = backends_.find(key);
   if (it != backends_.end()) {
+    // Touch: move to the most-recently-used end.
+    backend_order_.splice(backend_order_.end(), backend_order_,
+                          it->second.recency);
     obs::count(SvcMetrics::instance().backend_hits);
     bump(tallies_.backend_hits);
-    return it->second;
+    return it->second.backend;
   }
-  // Bound the registry: evict the oldest registration.  In-use fleets
-  // stay alive through their shared_ptr; eviction only drops the shared
-  // slot, never an object under a running evaluation.
+  // Bound the registry: evict the least recently used backend.  In-use
+  // fleets and profiles stay alive through their shared_ptrs; eviction
+  // only drops the shared slot, never an object under a running
+  // evaluation.
   if (backends_.size() >= options_.max_backends) {
     backends_.erase(backend_order_.front());
     backend_order_.pop_front();
   }
-  auto backend = std::make_shared<const Fleet>(build_backend(canonical));
-  backends_.emplace(key, backend);
+  Backend backend;
+  backend.fleet = std::make_shared<const Fleet>(build_backend(canonical));
   backend_order_.push_back(key);
+  backends_.emplace(key,
+                    BackendEntry{.backend = backend,
+                                 .recency = std::prev(backend_order_.end())});
   obs::count(SvcMetrics::instance().backend_builds);
   bump(tallies_.backend_builds);
   return backend;
 }
 
+std::shared_ptr<const kernels::AnchorProfile> QueryService::grow_profile(
+    const std::string& key, const Backend& backend, const std::size_t slot,
+    const int budget, const Real window_hi) {
+  // Grown outside the lock: concurrent growers of one entry each build
+  // their own copy, and the widest one published stays.
+  const Real extent = profile_extent(window_hi);
+  const std::shared_ptr<const kernels::AnchorProfile>& snapshot =
+      backend.profiles[slot];
+  auto grown = std::make_shared<const kernels::AnchorProfile>(
+      snapshot != nullptr
+          ? snapshot->grown(*backend.fleet, extent)
+          : kernels::AnchorProfile(budget).grown(*backend.fleet, extent));
+  obs::count(SvcMetrics::instance().profile_grows);
+  bump(tallies_.profile_grows);
+  const std::lock_guard<std::mutex> lock(backends_mutex_);
+  const auto it = backends_.find(key);
+  if (it != backends_.end() && it->second.backend.fleet == backend.fleet) {
+    std::shared_ptr<const kernels::AnchorProfile>& held =
+        it->second.backend.profiles[slot];
+    if (held == nullptr || held->extent() < grown->extent()) held = grown;
+  }
+  return grown;
+}
+
 QueryResult QueryService::compute(const CrQuery& canonical) {
   LS_OBS_SPAN("svc.query.compute");
-  const std::shared_ptr<const Fleet> backend = backend_for(canonical);
+  const std::string key = backend_key(canonical);
+  const Backend backend = backend_for(key, canonical);
   obs::count(SvcMetrics::instance().evaluations);
   bump(tallies_.evaluations);
-  return evaluate_on_backend(canonical, *backend);
+  std::shared_ptr<const kernels::AnchorProfile> profile;
+  const int slot = profile_slot(canonical.regime);
+  if (slot >= 0) {
+    const auto index = static_cast<std::size_t>(slot);
+    profile = backend.profiles[index];
+    if (profile == nullptr || !profile->reaches(canonical.window_hi)) {
+      profile = grow_profile(key, backend, index, canonical.f * (slot + 1),
+                             canonical.window_hi);
+    }
+  }
+  return evaluate_on_backend(canonical, *backend.fleet, profile.get());
 }
 
 bool QueryService::cache_lookup(const std::size_t shard_index,
@@ -424,7 +499,8 @@ QueryService::Stats QueryService::stats() const {
           .evaluations = load(tallies_.evaluations),
           .backend_builds = load(tallies_.backend_builds),
           .backend_hits = load(tallies_.backend_hits),
-          .evictions = load(tallies_.evictions)};
+          .evictions = load(tallies_.evictions),
+          .profile_grows = load(tallies_.profile_grows)};
 }
 
 std::size_t QueryService::backend_count() const {

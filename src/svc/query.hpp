@@ -13,7 +13,10 @@
 //   * a registry of immutable shared analytic backends keyed by
 //     (strategy, n, f, beta) — concurrent queries against the same
 //     regime pair reuse ONE Fleet, which the kernel scans read without
-//     any per-fleet mutable state, so the sharing is free;
+//     any per-fleet mutable state, so the sharing is free.  Each entry
+//     also keeps the anchor profiles (eval/kernels) of its fleet at
+//     budgets f and 2f, grown to the widest window seen, so a cold scan
+//     takes the turns' detection times from the profile;
 //   * an LRU of hot results sharded by regime pair (n, f), so a sweep
 //     over the 41-pair grid keeps every pair's hot window resident
 //     independently;
@@ -37,6 +40,7 @@
 #include <vector>
 
 #include "eval/cr_eval.hpp"
+#include "eval/kernels.hpp"
 #include "sim/fleet.hpp"
 #include "util/real.hpp"
 
@@ -130,7 +134,7 @@ struct QueryServiceOptions {
   std::size_t shard_count = 8;  ///< result-LRU shards over regime pairs
   std::size_t shard_capacity = 128;  ///< LRU entries per shard
   bool coalesce = true;         ///< merge identical in-flight queries
-  std::size_t max_backends = 256;  ///< shared-fleet registry bound
+  std::size_t max_backends = 256;  ///< shared-fleet registry bound (LRU)
 };
 
 /// Thread-safe stateless-query front end: shared immutable backends +
@@ -156,6 +160,7 @@ class QueryService {
     std::uint64_t backend_builds = 0;  ///< fleets constructed
     std::uint64_t backend_hits = 0;    ///< fleets reused from the registry
     std::uint64_t evictions = 0;       ///< LRU entries displaced
+    std::uint64_t profile_grows = 0;   ///< anchor profiles grown on a miss
   };
   [[nodiscard]] Stats stats() const;
 
@@ -214,8 +219,29 @@ class QueryService {
     QueryResult result;
   };
 
-  [[nodiscard]] std::shared_ptr<const Fleet> backend_for(
-      const CrQuery& canonical);
+  /// A registered backend and its anchor-profile snapshots at budgets
+  /// f and 2f (null until a miss grows them).  Registry entries are
+  /// replaced, never mutated in place, under backends_mutex_; a caller
+  /// holds copies of the pointers.
+  struct Backend {
+    std::shared_ptr<const Fleet> fleet;
+    std::shared_ptr<const kernels::AnchorProfile> profiles[2];
+  };
+  struct BackendEntry {
+    Backend backend;
+    std::list<std::string>::iterator recency;  ///< in backend_order_
+  };
+
+  /// The query's backend (built and registered on first use), touched
+  /// as most recently used.
+  [[nodiscard]] Backend backend_for(const std::string& key,
+                                    const CrQuery& canonical);
+  /// backend.profiles[slot] (or an empty profile at `budget`) grown to
+  /// cover window_hi, published to the registry entry `key` if it is
+  /// wider than what the entry holds by then.
+  [[nodiscard]] std::shared_ptr<const kernels::AnchorProfile> grow_profile(
+      const std::string& key, const Backend& backend, std::size_t slot,
+      int budget, Real window_hi);
   [[nodiscard]] QueryResult compute(const CrQuery& canonical);
   [[nodiscard]] bool cache_lookup(std::size_t shard_index,
                                   const std::string& key,
@@ -227,8 +253,8 @@ class QueryService {
   std::vector<std::unique_ptr<Shard>> shards_;
 
   mutable std::mutex backends_mutex_;
-  std::unordered_map<std::string, std::shared_ptr<const Fleet>> backends_;
-  /// Insertion order for bounded eviction of the backend registry.
+  std::unordered_map<std::string, BackendEntry> backends_;
+  /// Recency order of the backend registry, least recently used first.
   std::list<std::string> backend_order_;
 
   std::mutex inflight_mutex_;
@@ -244,6 +270,7 @@ class QueryService {
     std::atomic<std::uint64_t> backend_builds{0};
     std::atomic<std::uint64_t> backend_hits{0};
     std::atomic<std::uint64_t> evictions{0};
+    std::atomic<std::uint64_t> profile_grows{0};
   };
   Tallies tallies_;
 };

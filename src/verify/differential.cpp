@@ -606,13 +606,29 @@ DifferentialResult diff_scalar_vs_simd(const Fleet& fleet, const int f,
     scans.push_back(relaxed);
     scans.back().window_hi *= 256;
   }
+  std::vector<CrEvalResult> scalars;
   for (std::size_t job = 0; job < scans.size(); ++job) {
     const CrEvalResult kernel =
         kernels::measure_cr_kernel(fleet, f, scans[job]);
-    const CrEvalResult scalar = detail::measure_cr_with(
+    scalars.push_back(detail::measure_cr_with(
         fleet, f, scans[job],
-        [&fleet, f](const Real x) { return fleet.detection_time(x, f); });
-    compare_results(result, job, scalar, kernel);
+        [&fleet, f](const Real x) { return fleet.detection_time(x, f); }));
+    compare_results(result, job, scalars.back(), kernel);
+  }
+
+  // (a') The shared anchor profile the query service scans unbounded
+  // backends through: one profile, grown by the 2^8-times wider window,
+  // then read at that window and at the instance's own (jobs after the
+  // full scans, in that order).
+  if (fleet.unbounded()) {
+    const kernels::AnchorProfile profile =
+        kernels::AnchorProfile(f).grown(fleet, scans.back().window_hi);
+    const std::size_t wide = scans.size() - 1;
+    compare_results(result, scans.size(), scalars[wide],
+                    kernels::measure_cr_kernel(fleet, f, scans[wide],
+                                               &profile));
+    compare_results(result, scans.size() + 1, scalars[0],
+                    kernels::measure_cr_kernel(fleet, f, scans[0], &profile));
   }
 
   // (b) Columns: every batched per-probe detection time of the full

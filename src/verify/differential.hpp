@@ -187,7 +187,10 @@ struct DifferentialOptions {
 /// probe: every CrEvalResult field bit-identical — at `eval`, at
 /// interior_samples 0, 16 and 64, and on unbounded fleets also at
 /// `eval` with window_hi * 2^8 (mismatch job = variant index, in that
-/// order) — and every batched per-probe detection time of the full
+/// order).  Unbounded fleets add two jobs: one shared anchor profile
+/// grown to the 2^8-times wider window, read at that window and then at
+/// `eval`, as the query service scans its backends.  Then every
+/// batched per-probe detection time of the full
 /// probe expansion bit-identical to Fleet::detection_time at the same
 /// signed position.  This is the differential that licenses the
 /// configure-time SIMD switch and the prune pass — it must hold on both

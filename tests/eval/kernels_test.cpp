@@ -6,10 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -255,36 +258,55 @@ std::vector<std::pair<int, int>> regime_pairs() {
   return pairs;
 }
 
+/// A scan's result, or the text of the NumericError it threw.
+struct ScanOutcome {
+  CrEvalResult result;
+  std::string error;
+};
+
+template <typename Scan>
+ScanOutcome run_scan(const Scan& scan) {
+  ScanOutcome outcome;
+  try {
+    outcome.result = scan();
+  } catch (const NumericError& error) {
+    outcome.error = error.what();
+  }
+  return outcome;
+}
+
+ScanOutcome scalar_scan(const Fleet& fleet, const int f,
+                        const CrEvalOptions& options) {
+  return run_scan([&] {
+    return detail::measure_cr_with(
+        fleet, f, options,
+        [&fleet, f](const Real x) { return fleet.detection_time(x, f); });
+  });
+}
+
+/// Every result field bitwise, or the identical throw text.
+void expect_same_outcome(const ScanOutcome& got, const ScanOutcome& want,
+                         const std::string& what) {
+  ASSERT_EQ(got.error, want.error) << what;
+  EXPECT_TRUE(value_identical(got.result.cr, want.result.cr)) << what;
+  EXPECT_TRUE(value_identical(got.result.argmax, want.result.argmax))
+      << what;
+  EXPECT_TRUE(value_identical(got.result.cr_positive, want.result.cr_positive))
+      << what;
+  EXPECT_TRUE(value_identical(got.result.cr_negative, want.result.cr_negative))
+      << what;
+  EXPECT_EQ(got.result.probes, want.result.probes) << what;
+  EXPECT_EQ(got.result.undetected_probes, want.result.undetected_probes)
+      << what;
+}
+
 /// measure_cr_kernel vs the scalar reference scan over direct Fleet
 /// queries: every result field bitwise, or the identical throw text.
 void expect_kernel_matches_scalar(const Fleet& fleet, const int f,
                                   const CrEvalOptions& options) {
-  std::string kernel_error;
-  std::string scalar_error;
-  CrEvalResult kernel;
-  CrEvalResult scalar;
-  try {
-    kernel = kernels::measure_cr_kernel(fleet, f, options);
-  } catch (const NumericError& error) {
-    kernel_error = error.what();
-  }
-  try {
-    scalar = detail::measure_cr_with(
-        fleet, f, options,
-        [&fleet, f](const Real x) { return fleet.detection_time(x, f); });
-  } catch (const NumericError& error) {
-    scalar_error = error.what();
-  }
-  ASSERT_EQ(kernel_error, scalar_error) << "f=" << f;
-  EXPECT_TRUE(value_identical(kernel.cr, scalar.cr)) << "f=" << f;
-  EXPECT_TRUE(value_identical(kernel.argmax, scalar.argmax)) << "f=" << f;
-  EXPECT_TRUE(value_identical(kernel.cr_positive, scalar.cr_positive))
-      << "f=" << f;
-  EXPECT_TRUE(value_identical(kernel.cr_negative, scalar.cr_negative))
-      << "f=" << f;
-  EXPECT_EQ(kernel.probes, scalar.probes) << "f=" << f;
-  EXPECT_EQ(kernel.undetected_probes, scalar.undetected_probes)
-      << "f=" << f;
+  expect_same_outcome(
+      run_scan([&] { return kernels::measure_cr_kernel(fleet, f, options); }),
+      scalar_scan(fleet, f, options), "f=" + std::to_string(f));
 }
 
 TEST(MeasureCrKernel, BitIdenticalToScalarAcrossAllRegimePairs) {
@@ -512,6 +534,313 @@ TEST(MeasureCrKernel, PrunesMostInteriorSamplesOfAWideScan) {
   EXPECT_GT(evaluated, 0u);
   EXPECT_LE(evaluated * 20, static_cast<std::uint64_t>(result.probes));
   expect_kernel_matches_scalar(fleet, 11, options);
+}
+
+/// The kernel through `profile` vs the profile-free kernel and vs the
+/// scalar reference scan: every field bitwise, or the same throw text.
+void expect_profile_matches(const Fleet& fleet, const int f,
+                            const CrEvalOptions& options,
+                            const kernels::AnchorProfile& profile) {
+  const std::string what =
+      "f=" + std::to_string(f) +
+      " window=[" + std::to_string(static_cast<double>(options.window_lo)) +
+      ", " + std::to_string(static_cast<double>(options.window_hi)) +
+      "] k=" + std::to_string(options.interior_samples) +
+      " require_finite=" + std::to_string(options.require_finite);
+  const ScanOutcome profiled = run_scan(
+      [&] { return kernels::measure_cr_kernel(fleet, f, options, &profile); });
+  expect_same_outcome(
+      profiled,
+      run_scan([&] { return kernels::measure_cr_kernel(fleet, f, options); }),
+      what + " (vs profile-free kernel)");
+  expect_same_outcome(profiled, scalar_scan(fleet, f, options),
+                      what + " (vs scalar)");
+}
+
+/// The cached turn magnitudes of one profile side.
+std::vector<Real> magnitudes(const kernels::AnchorProfile::Side& held) {
+  std::vector<Real> out;
+  for (const kernels::AnchorProfile::Turn& turn : held.turns) {
+    out.push_back(turn.magnitude);
+  }
+  return out;
+}
+
+Real right_limit(const Real turn) { return turn * (1 + tol::kLimitProbe); }
+
+TEST(AnchorProfile, HoldsEveryTurnUpToItsExtentWithItsDetectionTimes) {
+  const Fleet fleet = ProportionalAlgorithm(5, 2).build_unbounded_fleet();
+  const kernels::AnchorProfile small =
+      kernels::AnchorProfile(2).grown(fleet, 16);
+  const kernels::AnchorProfile profile = small.grown(fleet, 256);
+  EXPECT_EQ(profile.budget(), 2);
+  EXPECT_TRUE(value_identical(profile.extent(), Real{256}));
+  EXPECT_TRUE(profile.reaches(256));
+  EXPECT_FALSE(profile.reaches(257));
+  const kernels::AnchorProfile direct =
+      kernels::AnchorProfile(2).grown(fleet, 256);
+  for (const int side : {+1, -1}) {
+    SCOPED_TRACE(testing::Message() << "side=" << side);
+    const kernels::AnchorProfile::Side& held = profile.side(side);
+    const std::vector<Real> turns = fleet.turning_positions_in(side, 0, 256);
+    ASSERT_EQ(held.turns.size(), turns.size());
+    ASSERT_EQ(direct.side(side).turns.size(), turns.size());
+    EXPECT_FALSE(held.capped);
+    EXPECT_TRUE(value_identical(held.extent, Real{256}));
+    for (std::size_t i = 0; i < turns.size(); ++i) {
+      const kernels::AnchorProfile::Turn& turn = held.turns[i];
+      const Real limit = turns[i] * (1 + tol::kLimitProbe);
+      EXPECT_TRUE(value_identical(turn.magnitude, turns[i]));
+      EXPECT_TRUE(value_identical(turn.time,
+                                  fleet.detection_time(side * turns[i], 2)));
+      EXPECT_TRUE(value_identical(turn.limit_time,
+                                  fleet.detection_time(side * limit, 2)));
+      // Growing from 16 to 256 holds exactly what one build at 256 does.
+      EXPECT_TRUE(value_identical(turn.time, direct.side(side).turns[i].time));
+      EXPECT_TRUE(value_identical(turn.limit_time,
+                                  direct.side(side).turns[i].limit_time));
+    }
+  }
+  // Growing to a smaller extent changes nothing.
+  EXPECT_EQ(profile.grown(fleet, 64).side(+1).turns.size(),
+            profile.side(+1).turns.size());
+}
+
+/// The profile of (fleet, budget) grown until both sides hit the cap.
+kernels::AnchorProfile capped_profile(const Fleet& fleet, const int budget) {
+  kernels::AnchorProfile profile(budget);
+  Real extent = 256;
+  while (!(profile.side(+1).capped && profile.side(-1).capped)) {
+    extent *= Real{0x1p64L};
+    profile = profile.grown(fleet, extent);
+  }
+  return profile;
+}
+
+TEST(AnchorProfile, CapStopsASideBelowItsFirstMissingTurn) {
+  const Fleet fleet = ProportionalAlgorithm(3, 1).build_unbounded_fleet();
+  const kernels::AnchorProfile profile = capped_profile(fleet, 1);
+  for (const int side : {+1, -1}) {
+    SCOPED_TRACE(testing::Message() << "side=" << side);
+    const kernels::AnchorProfile::Side& held = profile.side(side);
+    ASSERT_FALSE(held.turns.empty());
+    EXPECT_LE(held.turns.size(), kernels::AnchorProfile::kMaxTurnsPerSide);
+    EXPECT_GT(held.turns.size(),
+              kernels::AnchorProfile::kMaxTurnsPerSide - fleet.size());
+    EXPECT_TRUE(value_identical(held.extent, held.turns.back().magnitude));
+    EXPECT_LT(held.extent, profile.extent());
+    const std::vector<Real> turns =
+        fleet.turning_positions_in(side, 0, held.extent);
+    ASSERT_EQ(turns.size(), held.turns.size());
+    for (std::size_t i = 0; i < turns.size(); ++i) {
+      ASSERT_TRUE(value_identical(turns[i], held.turns[i].magnitude));
+    }
+  }
+  // A capped profile reaches every magnitude and never grows again.
+  EXPECT_TRUE(profile.reaches(kInfinity));
+  const kernels::AnchorProfile again =
+      profile.grown(fleet, profile.extent() * 4);
+  EXPECT_EQ(again.side(+1).turns.size(), profile.side(+1).turns.size());
+  EXPECT_EQ(again.side(-1).turns.size(), profile.side(-1).turns.size());
+}
+
+TEST(MeasureCrKernel, ProfileScanIsBitIdenticalAcrossAllRegimePairs) {
+  // The service's shape: A(n, f) on the analytic backend at budgets f
+  // (the paper's model) and 2f (the Byzantine quorum), through a
+  // profile grown 2^5 -> 2^8, for windows inside the profile, with
+  // window_lo != 1, past its extent, and with window ends bit-equal to
+  // a cached turn and to a cached right-limit.
+  const std::vector<std::pair<int, int>> pairs = regime_pairs();
+  ASSERT_EQ(pairs.size(), 41u);
+  for (const auto& [n, f] : pairs) {
+    const Fleet fleet = ProportionalAlgorithm(n, f).build_unbounded_fleet();
+    for (const int budget : {f, 2 * f}) {
+      SCOPED_TRACE(testing::Message() << "n=" << n << " budget=" << budget);
+      const kernels::AnchorProfile profile =
+          kernels::AnchorProfile(budget).grown(fleet, 32).grown(fleet, 256);
+      const std::vector<Real> turns = magnitudes(profile.side(+1));
+      const std::size_t low = static_cast<std::size_t>(
+          std::upper_bound(turns.begin(), turns.end(), Real{2}) -
+          turns.begin());
+      const std::size_t high = turns.size() - 2;
+      ASSERT_LT(low + 2, high);
+      std::vector<std::pair<Real, Real>> windows{
+          {1, 128}, {3.25L, 200}, {2, 2048},
+          {turns[low], right_limit(turns[high])},
+          {right_limit(turns[low]), turns[high]}};
+      for (const auto& [lo, hi] : windows) {
+        for (const int k : {0, 4, 16, 64}) {
+          for (const bool require_finite : {true, false}) {
+            CrEvalOptions options;
+            options.window_lo = lo;
+            options.window_hi = hi;
+            options.interior_samples = k;
+            options.require_finite = require_finite;
+            expect_profile_matches(fleet, budget, options, profile);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(MeasureCrKernel, ProfileScanPastTheCapIsBitIdentical) {
+  for (const auto& [n, f] :
+       std::vector<std::pair<int, int>>{{3, 1}, {5, 2}, {12, 11}}) {
+    const Fleet fleet = ProportionalAlgorithm(n, f).build_unbounded_fleet();
+    for (const int budget : {f, 2 * f}) {
+      SCOPED_TRACE(testing::Message() << "n=" << n << " budget=" << budget);
+      const kernels::AnchorProfile profile = capped_profile(fleet, budget);
+      const Real low = std::min(profile.side(+1).extent,
+                                profile.side(-1).extent);
+      const Real high = std::max(profile.side(+1).extent,
+                                 profile.side(-1).extent);
+      for (const auto& [lo, hi] : std::vector<std::pair<Real, Real>>{
+               {low / 64, high * 64}, {high * 2, high * 512}}) {
+        for (const int k : {0, 16}) {
+          for (const bool require_finite : {true, false}) {
+            CrEvalOptions options;
+            options.window_lo = lo;
+            options.window_hi = hi;
+            options.interior_samples = k;
+            options.require_finite = require_finite;
+            expect_profile_matches(fleet, budget, options, profile);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(MeasureCrKernel, ProfileOnDenseAndCrashedFleetsIsBitIdentical) {
+  // The profile is backend-agnostic: a dense build whose turns stop
+  // short of the profile's extent, and a crash-truncated fleet with
+  // undetected probes.
+  const Fleet dense = ProportionalAlgorithm(5, 2).build_fleet(64);
+  const Fleet crashed =
+      truncate_at_crashes(dense, {kInfinity, 9, kInfinity, 20, 3});
+  for (const Fleet* fleet : {&dense, &crashed}) {
+    for (const int f : {0, 2}) {
+      const kernels::AnchorProfile profile =
+          kernels::AnchorProfile(f).grown(*fleet, 32);
+      for (const Real hi : {Real{16}, Real{32}, Real{128}}) {
+        CrEvalOptions options;
+        options.window_hi = hi;
+        options.interior_samples = 16;
+        options.require_finite = false;
+        expect_profile_matches(*fleet, f, options, profile);
+      }
+    }
+  }
+}
+
+TEST(MeasureCrKernel, ProfileForAnotherBudgetIsRejected) {
+  const Fleet fleet = ProportionalAlgorithm(3, 1).build_unbounded_fleet();
+  const kernels::AnchorProfile profile =
+      kernels::AnchorProfile(2).grown(fleet, 64);
+  EXPECT_THROW((void)kernels::measure_cr_kernel(fleet, 1, {}, &profile),
+               PreconditionError);
+}
+
+TEST(MeasureCrKernel, ProfileSkipsTheCachedAnchorsFill) {
+  if constexpr (!obs::kEnabled) {
+    GTEST_SKIP() << "eval.cr.probes_evaluated needs LINESEARCH_OBS=ON";
+  }
+  const Fleet fleet = ProportionalAlgorithm(12, 11).build_unbounded_fleet();
+  const kernels::AnchorProfile profile =
+      kernels::AnchorProfile(11).grown(fleet, 65536);
+  CrEvalOptions options;
+  options.window_lo = 300;
+  options.window_hi = 60000;
+  options.interior_samples = 0;
+  const auto evaluated_by = [&](const kernels::AnchorProfile* with) {
+    obs::Registry::instance().reset();
+    (void)kernels::measure_cr_kernel(fleet, 11, options, with);
+    for (const obs::MetricSnapshot& snap :
+         obs::Registry::instance().snapshot()) {
+      if (snap.name == "eval.cr.probes_evaluated") return snap.value;
+    }
+    return std::uint64_t{0};
+  };
+  // Without a profile every anchor is filled; with one only the window
+  // ends and window_lo's right-limit, on each side.
+  EXPECT_GT(evaluated_by(nullptr), 100u);
+  EXPECT_EQ(evaluated_by(&profile), 6u);
+  // Window ends bit-equal to a cached turn (window_lo) and to a cached
+  // right-limit (window_hi) take cached times too.  A(12, 11) turns at
+  // the same magnitudes on both sides, so no anchor is filled at all.
+  const std::vector<Real> turns = magnitudes(profile.side(+1));
+  const std::vector<Real> mirror = magnitudes(profile.side(-1));
+  options.window_lo = turns[turns.size() / 4];
+  options.window_hi = right_limit(turns[turns.size() - 2]);
+  ASSERT_TRUE(
+      std::binary_search(mirror.begin(), mirror.end(), options.window_lo));
+  ASSERT_TRUE(std::binary_search(mirror.begin(), mirror.end(),
+                                 turns[turns.size() - 2]));
+  EXPECT_EQ(evaluated_by(&profile), 0u);
+  expect_profile_matches(fleet, 11, options, profile);
+}
+
+TEST(AnchorProfileRace, FourThreadsGrowAndReadOneProfile) {
+  // The service's snapshot swap: readers copy the shared pointer under
+  // a lock, a reader whose window passes the extent grows a private
+  // copy and publishes it if it is wider.  Every answer must match the
+  // serial profile-free scan.
+  const Fleet fleet = ProportionalAlgorithm(7, 3).build_unbounded_fleet();
+  std::vector<CrEvalOptions> windows;
+  for (int e = 2; e <= 14; ++e) {
+    CrEvalOptions options;
+    options.window_lo = static_cast<Real>(e % 3 + 1);
+    options.window_hi = std::ldexp(Real{1.5L}, e);
+    options.interior_samples = 4 * (e % 4);
+    windows.push_back(options);
+  }
+  std::vector<CrEvalResult> serial;
+  for (const CrEvalOptions& options : windows) {
+    serial.push_back(kernels::measure_cr_kernel(fleet, 3, options));
+  }
+  std::mutex mutex;
+  std::shared_ptr<const kernels::AnchorProfile> shared =
+      std::make_shared<const kernels::AnchorProfile>(3);
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < 8; ++round) {
+        for (std::size_t w = 0; w < windows.size(); ++w) {
+          const std::size_t i =
+              (w * static_cast<std::size_t>(2 * t + 1) +
+               static_cast<std::size_t>(round)) %
+              windows.size();
+          std::shared_ptr<const kernels::AnchorProfile> snapshot;
+          {
+            const std::lock_guard<std::mutex> lock(mutex);
+            snapshot = shared;
+          }
+          if (!snapshot->reaches(windows[i].window_hi)) {
+            snapshot = std::make_shared<const kernels::AnchorProfile>(
+                snapshot->grown(fleet, windows[i].window_hi));
+            const std::lock_guard<std::mutex> lock(mutex);
+            if (snapshot->extent() > shared->extent()) shared = snapshot;
+          }
+          const CrEvalResult got = kernels::measure_cr_kernel(
+              fleet, 3, windows[i], snapshot.get());
+          const CrEvalResult& want = serial[i];
+          if (!value_identical(got.cr, want.cr) ||
+              !value_identical(got.argmax, want.argmax) ||
+              !value_identical(got.cr_positive, want.cr_positive) ||
+              !value_identical(got.cr_negative, want.cr_negative) ||
+              got.probes != want.probes ||
+              got.undetected_probes != want.undetected_probes) {
+            mismatches.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_TRUE(shared->reaches(windows.back().window_hi));
 }
 
 TEST(OrderStatisticLine, TieBreakIsLowestIndexAmongAttainers) {

@@ -178,6 +178,62 @@ TEST(QueryService, SharesOneBackendAcrossWindows) {
   EXPECT_EQ(service.stats().backend_builds, 1u);
 }
 
+TEST(QueryService, BackendRegistryEvictsTheLeastRecentlyUsed) {
+  // A hot analytic backend touched between one-shot crash registrations
+  // (each window is a new dense backend key) outlives max_backends of
+  // them: it is built once, however many crash backends come and go.
+  QueryServiceOptions options;
+  options.cache_results = false;
+  options.max_backends = 4;
+  QueryService service(options);
+  const CrQuery hot = pair_query(3, 1);
+  constexpr int kCrashKeys = 12;
+  for (int i = 0; i < kCrashKeys; ++i) {
+    CrQuery crash = pair_query(3, 1, static_cast<Real>(8 + i));
+    crash.regime = FaultRegime::kCrash;
+    crash.crash_times = {2.0L, kInfinity, kInfinity};
+    (void)service.evaluate(crash);
+    (void)service.evaluate(hot);
+  }
+  const QueryService::Stats stats = service.stats();
+  EXPECT_EQ(stats.backend_builds, static_cast<std::uint64_t>(kCrashKeys) + 1);
+  EXPECT_EQ(stats.backend_hits, static_cast<std::uint64_t>(kCrashKeys) - 1);
+  EXPECT_EQ(service.backend_count(), options.max_backends);
+}
+
+TEST(QueryService, AnchorProfilesGrowOnlyPastTheirExtent) {
+  // kNone scans at budget f and kByzantine at 2f keep one profile each
+  // per backend, grown to the next power of two at or above window_hi;
+  // every answer stays value-identical to the profile-free direct path.
+  QueryServiceOptions options;
+  options.cache_results = false;
+  QueryService service(options);
+  const auto check = [&service](const CrQuery& query,
+                                const std::uint64_t grows) {
+    EXPECT_TRUE(same_result(service.evaluate(query),
+                            evaluate_query_direct(query)))
+        << "window_hi=" << static_cast<double>(query.window_hi);
+    EXPECT_EQ(service.stats().profile_grows, grows)
+        << "window_hi=" << static_cast<double>(query.window_hi);
+  };
+  check(pair_query(5, 2, 100), 1);   // builds budget f to 128
+  check(pair_query(5, 2, 128), 1);
+  check(pair_query(5, 2, 12), 1);
+  CrQuery wide = pair_query(5, 2, 129);
+  wide.window_lo = 3;
+  check(wide, 2);                    // grows to 256
+  CrQuery byzantine = pair_query(5, 2, 100);
+  byzantine.regime = FaultRegime::kByzantine;
+  check(byzantine, 3);               // budget 2f has its own profile
+  byzantine.window_hi = 64;
+  check(byzantine, 3);
+  CrQuery probabilistic = pair_query(5, 2, 1000);
+  probabilistic.regime = FaultRegime::kProbabilistic;
+  probabilistic.fault_p = 0.25L;
+  check(probabilistic, 3);           // no measure_cr scan, no profile
+  EXPECT_EQ(service.stats().backend_builds, 1u);
+}
+
 TEST(QueryService, CacheOnAndOffAreBitIdentical) {
   QueryServiceOptions cold;
   cold.cache_results = false;
@@ -206,10 +262,18 @@ void race_threads(const int threads, const bool cache) {
   options.cache_results = cache;
   QueryService service(options);
 
+  // The (5, 2) windows grow its shared anchor profiles while other
+  // threads scan through older snapshots.
   const std::vector<CrQuery> queries = {
       pair_query(3, 1), pair_query(5, 2), pair_query(7, 3),
+      pair_query(5, 2, 200), pair_query(5, 2, 3000),
       []() {
         CrQuery q = pair_query(5, 2);
+        q.regime = FaultRegime::kByzantine;
+        return q;
+      }(),
+      []() {
+        CrQuery q = pair_query(5, 2, 1000);
         q.regime = FaultRegime::kByzantine;
         return q;
       }(),
