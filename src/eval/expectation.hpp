@@ -8,30 +8,29 @@
 //
 //   E[T(x)] = sum_k t_k * (1 - p) * p^(k-1).
 //
-// No Monte Carlo is needed: on the zigzag/analytic ladder families the
-// visit times obey an affine-geometric recurrence — one expansion period
-// multiplies positions by kappa = (2f+2)/(2f+2-n), every robot crosses x
-// twice per period, so t_(k+2n) = kappa^2 * t_k + c — which makes the
-// series a geometric ladder.  Consecutive period sums contract by
-// q -> p^(2n) * kappa^2, so the series converges iff
+// No Monte Carlo is needed.  On the A(n, f) ladder (PAPER.md, Lemma 2)
+// one expansion period multiplies positions by kappa, and once a robot's
+// ladder is past |x| it crosses x once per leg, so its visits form two
+// streams t_(j+1) = kappa^2 t_j + c, one per leg parity.  Consecutive
+// period sums contract by p^(2n) kappa^2, so the series converges iff
 //
 //   p < kappa^(-1/n)        (equivalently p^(2n) * kappa^2 < 1)
 //
-// and the evaluator sums terms until the closed-form geometric tail
-// bound drops below rel_tol, or certifies divergence (E[T] = kInfinity)
-// when period sums stop contracting.  A FINITE visit list (a bounded /
-// dense fleet, or a ray that passes x once) leaves never-detect mass
-// p^K > 0, so E[T] is kInfinity for every p > 0 — the expected-CR
-// evaluator is meant for the unbounded analytic backends.
+// with kappa the fleet's own expansion factor.  On a fleet whose robots
+// are all unbounded AnalyticZigzag ladders with one shared kappa, the
+// evaluator decides divergence by that inequality, merges the robots'
+// head visits (walked on the stack) until the merged order provably
+// repeats every period, and adds the exact geometric tail of the 2n
+// streams (arXiv:2002.07797's closed form on Lemma 2's ladder) — about
+// ten terms, wherever p sits below the threshold.
 //
-// Evaluation is a lazy n-way merge: one visit cursor per robot
-// (ScheduleSource::visit_cursor, one ladder walk stepped on demand), the
-// smallest head feeding the running sum one term at a time, and the pass
-// stops at the first window that settles the series — at least two
-// windows, a few thousand terms next to the threshold — without building
-// any robot's visits past that point.
-// detail::expected_detection_time_capped keeps the earlier
-// merge-a-capped-prefix-and-sort pass as a reference.
+// Every other fleet takes the lazy n-way merge, kept as
+// detail::expected_detection_time_lazy: one visit cursor per robot,
+// summed term by term until a window of 2n terms settles the series
+// within rel_tol.  A FINITE visit list (a bounded / dense fleet, or a
+// ray that passes x once) leaves never-detect mass p^K > 0, so E[T] is
+// kInfinity for every p > 0 — the expected-CR evaluator is meant for the
+// unbounded analytic backends.
 //
 // At p == 0 the series collapses to t_1 = Fleet::detection_time(x, 0)
 // and the scan below runs detail::measure_cr_with with exactly the
@@ -56,47 +55,40 @@ struct ExpectationOptions {
                         .window_hi = 64,
                         .interior_samples = 4,
                         .require_finite = false};
-  /// Relative truncation tolerance of the geometric tail bound.
+  /// Relative truncation tolerance of the lazy merge's tail bound (the
+  /// closed form on ladder fleets does not truncate).
   Real rel_tol = 1e-9L;
-  /// Cap on the series terms (merged visits) one evaluation consumes;
+  /// Cap on the series terms (merged visits) the lazy merge consumes;
   /// at the cap the last measured period ratio decides (contracting:
-  /// extrapolate the closed-form tail; otherwise kInfinity).  >= 16.
+  /// extrapolate the window's geometric tail; otherwise kInfinity).
+  /// The closed form on ladder fleets never reads it.  >= 16.
   std::size_t max_visits = 1u << 16;
 };
 
-/// E[T(target)] under per-visit iid failures — the series above, exact
-/// up to rel_tol.  kInfinity when the series diverges (p at or past the
-/// ladder threshold), when the visit list is finite (never-detect mass),
-/// or when the target is never visited.  p == 0 returns
-/// Fleet::detection_time(target, 0) bit-identically.  When a visit time
-/// overflows Real range or max_visits terms are consumed first, the
-/// closed-form tail of the last window extrapolates the sum if that
-/// window contracted; otherwise the answer is kInfinity.
+/// E[T(target)] under per-visit iid failures — the series above.  On an
+/// all-ladder fleet it is the closed form: kInfinity exactly when
+/// p^(2n) kappa^2 >= 1, and never a truncated or extrapolated sum.  On
+/// any other fleet it is the lazy merge below.  kInfinity when the
+/// visit list is finite (never-detect mass) or the target is never
+/// visited.  p == 0 returns Fleet::detection_time(target, 0)
+/// bit-identically.
 [[nodiscard]] Real expected_detection_time(const Fleet& fleet, Real target,
                                            const ExpectationOptions& options);
 
 namespace detail {
 
-/// What the capped reference's deciding pass saw.
-struct CappedTrace {
-  /// The answer came from terms that are exactly the true merged order:
-  /// no series was needed, or the pass settled within max_visits terms
-  /// at a visit no later than the last one built for every robot whose
-  /// list the cap cut.  The lazy evaluator must then agree bit for bit;
-  /// otherwise the capped pass may have summed visits out of order and
-  /// the two agree only within rel_tol.
-  bool inside_horizon = true;
-};
-
-/// The reference evaluator the lazy merge replaced: per pass, build up
-/// to `cap` visits per robot, sort them, and sum; on no verdict regrow
-/// the cap (64, x4, up to max_visits) and start over.  Past the earliest
-/// cut robot's last built visit the sorted list misses that robot's
-/// later visits, so its terms can come out of order there.  Kept for
-/// the lazy_vs_capped differential and tests; `trace` may be null.
-[[nodiscard]] Real expected_detection_time_capped(
+/// The lazy merge, on any fleet: one visit cursor per robot, the series
+/// summed term by term until a window of 2n terms settles it within
+/// rel_tol, or 16 windows in a row fail to contract (kInfinity).  When a
+/// visit time overflows Real range or max_visits terms are consumed
+/// first, the last window's geometric tail extrapolates the sum if that
+/// window contracted; otherwise the answer is kInfinity.  `converged`,
+/// when non-null, is set true iff a contracting window settled the sum
+/// before any visit time left Real range — the answers the
+/// closed_vs_lazy differential holds the closed form to.
+[[nodiscard]] Real expected_detection_time_lazy(
     const Fleet& fleet, Real target, const ExpectationOptions& options,
-    CappedTrace* trace = nullptr);
+    bool* converged = nullptr);
 
 }  // namespace detail
 
@@ -112,7 +104,9 @@ struct CappedTrace {
 [[nodiscard]] Real expectation_convergence_threshold(int n, int f);
 
 /// True iff the expected-CR series of A(n, f) converges at p (p below
-/// the threshold above; p == 0 always converges).
+/// the threshold above; p == 0 always converges).  Assumes the optimal
+/// beta*(n, f): a fleet built at another beta has its own kappa, and
+/// expected_detection_time decides by that kappa, not by this predicate.
 [[nodiscard]] bool expectation_converges(int n, int f, Real p);
 
 /// One row of the p-sweep grid.

@@ -181,21 +181,43 @@ bool AnchorProfile::reaches(const Real magnitude) const noexcept {
 
 AnchorProfile AnchorProfile::grown(const Fleet& fleet,
                                    const Real extent) const {
+  static thread_local std::vector<Real> no_times;
+  return grown(fleet, extent, ProbeBatch{}, no_times);
+}
+
+AnchorProfile AnchorProfile::grown(const Fleet& fleet, const Real extent,
+                                   const ProbeBatch& extra,
+                                   std::vector<Real>& extra_times) const {
   // An infinite extent would never end an unbounded fleet's turn walk.
   expects(std::isfinite(extent), "AnchorProfile: extent must be finite");
   AnchorProfile next = *this;
   next.extent_ = std::max(extent_, extent);
-  // The new turns of both sides in one batch: per side, the turns, then
-  // their right-limits.
+  // The new turns of both sides and the extra probes in one batch: per
+  // side, the turns, then their right-limits, then the side's extras.
   static thread_local ProbeBatch batch;
   static thread_local VisitColumns columns;
   batch.magnitudes.clear();
   batch.sides.clear();
   batch.positive_count = 0;
   std::size_t added[2] = {0, 0};  // [side > 0]
+  std::size_t extra_begin[2] = {0, 0};  // [side > 0]: batch slot
   for (const int side : {+1, -1}) {
+    const auto side_extras = [&](const std::size_t at) {
+      extra_begin[side > 0] = at;
+      const std::size_t lo = side > 0 ? 0 : extra.positive_count;
+      const std::size_t hi = side > 0 ? extra.positive_count : extra.size();
+      batch.magnitudes.insert(batch.magnitudes.end(),
+                              extra.magnitudes.begin() + lo,
+                              extra.magnitudes.begin() + hi);
+      batch.sides.insert(batch.sides.end(), hi - lo,
+                         static_cast<std::int8_t>(side));
+      if (side > 0) batch.positive_count = batch.size();
+    };
     Side& held = side > 0 ? next.positive_ : next.negative_;
-    if (held.capped || extent <= held.extent) continue;
+    if (held.capped || extent <= held.extent) {
+      side_extras(batch.size());
+      continue;
+    }
     std::vector<Real> fresh =
         fleet.turning_positions_in(side, held.extent, extent);
     // Magnitudes at or below the old extent are already held.
@@ -223,25 +245,29 @@ AnchorProfile AnchorProfile::grown(const Fleet& fleet,
     }
     batch.sides.insert(batch.sides.end(), 2 * fresh.size(),
                        static_cast<std::int8_t>(side));
-    if (side > 0) batch.positive_count = batch.size();
+    side_extras(batch.size());
   }
+  extra_times.clear();
   if (batch.size() == 0) return next;
   fill_visit_columns(fleet, budget_, batch, columns);
-  const Real* magnitudes = batch.magnitudes.data();
   const Real* times = columns.detection.data();
   for (const int side : {+1, -1}) {
     const std::size_t count = added[side > 0];
-    if (count == 0) continue;
+    const std::size_t begin = extra_begin[side > 0];
+    const Real* magnitudes = batch.magnitudes.data() + begin - 2 * count;
+    const Real* turn_times = times + begin - 2 * count;
     std::vector<Turn>& turns = (side > 0 ? next.positive_ : next.negative_)
                                    .turns;
     turns.reserve(turns.size() + count);
     for (std::size_t i = 0; i < count; ++i) {
       turns.push_back({.magnitude = magnitudes[i],
-                       .time = times[i],
-                       .limit_time = times[count + i]});
+                       .time = turn_times[i],
+                       .limit_time = turn_times[count + i]});
     }
-    magnitudes += 2 * count;
-    times += 2 * count;
+    const std::size_t extras =
+        side > 0 ? extra.positive_count : extra.size() - extra.positive_count;
+    extra_times.insert(extra_times.end(), times + begin,
+                       times + begin + extras);
   }
   return next;
 }
@@ -487,11 +513,24 @@ void emit_side(const Fleet& fleet, const int side,
   }
 }
 
+/// The time `known` holds for (side, magnitude), or NaN.
+Real known_time(const KnownProbes& known, const std::int8_t side,
+                const Real magnitude) {
+  for (std::size_t i = 0; i < known.probes.size(); ++i) {
+    if (known.probes.sides[i] == side &&
+        known.probes.magnitudes[i] == magnitude) {
+      return known.times[i];
+    }
+  }
+  return kNaN;
+}
+
 /// Profile path of pass 1: fill the anchors whose scratch.anchor_times
 /// entry is still NaN (no cached time) in one call and store their
-/// times; scratch.unknown_slots lists them.
+/// times; scratch.unknown_slots lists them.  Anchors among `known` take
+/// its times instead.
 void fill_unknown_anchors(const Fleet& fleet, const int f,
-                          ScanScratch& scratch) {
+                          const KnownProbes* known, ScanScratch& scratch) {
   const ProbeBatch& anchors = scratch.anchors;
   ProbeBatch& unknown = scratch.unknown;
   std::vector<std::uint32_t>& slots = scratch.unknown_slots;
@@ -500,6 +539,10 @@ void fill_unknown_anchors(const Fleet& fleet, const int f,
   unknown.positive_count = 0;
   slots.clear();
   for (std::size_t a = 0; a < anchors.size(); ++a) {
+    if (known != nullptr && std::isnan(scratch.anchor_times[a])) {
+      scratch.anchor_times[a] =
+          known_time(*known, anchors.sides[a], anchors.magnitudes[a]);
+    }
     if (std::isnan(scratch.anchor_times[a])) {
       unknown.magnitudes.push_back(anchors.magnitudes[a]);
       unknown.sides.push_back(anchors.sides[a]);
@@ -518,9 +561,24 @@ void fill_unknown_anchors(const Fleet& fleet, const int f,
 
 }  // namespace
 
+ProbeBatch window_end_probes(const Real window_lo, const Real window_hi) {
+  // The products pass 1 emits for the window ends.
+  ProbeBatch ends;
+  for (const int side : {+1, -1}) {
+    for (const Real magnitude :
+         {window_lo, window_lo * (1 + tol::kLimitProbe), window_hi}) {
+      ends.magnitudes.push_back(magnitude);
+      ends.sides.push_back(static_cast<std::int8_t>(side));
+    }
+    if (side > 0) ends.positive_count = ends.size();
+  }
+  return ends;
+}
+
 CrEvalResult measure_cr_kernel(const Fleet& fleet, const int f,
                                const CrEvalOptions& options,
-                               const AnchorProfile* profile) {
+                               const AnchorProfile* profile,
+                               const KnownProbes* known) {
   // Same preconditions, span, counters and scan semantics as
   // detail::measure_cr_with.  The detection times are precomputed in
   // bulk instead of queried one probe at a time, and the interior
@@ -560,7 +618,7 @@ CrEvalResult measure_cr_kernel(const Fleet& fleet, const int f,
   if (profile == nullptr) {
     fill_visit_columns(fleet, f, anchors, scratch.anchor_columns);
   } else {
-    fill_unknown_anchors(fleet, f, scratch);
+    fill_unknown_anchors(fleet, f, known, scratch);
   }
   const std::vector<Real>& anchor_times =
       profile == nullptr ? scratch.anchor_columns.detection

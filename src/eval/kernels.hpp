@@ -166,6 +166,14 @@ class AnchorProfile {
   /// at or below the current one returns an equal copy.
   [[nodiscard]] AnchorProfile grown(const Fleet& fleet, Real extent) const;
 
+  /// grown(fleet, extent) whose one fill also computes T_{budget+1} at
+  /// the `extra` probes: extra_times receives them in batch order.  A
+  /// caller that needs both the new turns and a few other probes sweeps
+  /// each robot once.
+  [[nodiscard]] AnchorProfile grown(const Fleet& fleet, Real extent,
+                                    const ProbeBatch& extra,
+                                    std::vector<Real>& extra_times) const;
+
   [[nodiscard]] int budget() const noexcept { return budget_; }
   /// The largest extent the profile was grown to.
   [[nodiscard]] Real extent() const noexcept { return extent_; }
@@ -183,6 +191,19 @@ class AnchorProfile {
   Side negative_;
 };
 
+/// Probe times filled ahead of a scan, matched by side and exact
+/// magnitude: a growing miss fills its window ends together with the
+/// profile's new turns (AnchorProfile::grown with extra probes), so its
+/// scan needs no fill of its own.
+struct KnownProbes {
+  ProbeBatch probes;
+  std::vector<Real> times;  ///< parallel to probes
+};
+
+/// The anchors of a scan over [window_lo, window_hi] that no turn
+/// covers: per side, window_lo, its right-limit and window_hi.
+[[nodiscard]] ProbeBatch window_end_probes(Real window_lo, Real window_hi);
+
 /// The SoA fast path behind measure_cr: identical contract, result
 /// fields (bitwise) and eval.cr.* counters as the scalar scan, which
 /// records no eval.cr.probes_evaluated (the probes whose detection time
@@ -195,10 +216,12 @@ class AnchorProfile {
 /// their right-limits, uncountable samples, turns past the extent).
 /// The result is bitwise the profile-free one, since a detection time
 /// depends on the signed position alone; eval.cr.probes_evaluated then
-/// counts only the filled probes.
+/// counts only the filled probes.  Anchors among `known` (profile path
+/// only) take its times instead of a fill.
 [[nodiscard]] CrEvalResult measure_cr_kernel(
     const Fleet& fleet, int f, const CrEvalOptions& options,
-    const AnchorProfile* profile = nullptr);
+    const AnchorProfile* profile = nullptr,
+    const KnownProbes* known = nullptr);
 
 /// True when the kernels were compiled with `#pragma omp simd`
 /// (LINESEARCH_SIMD=ON); false in the scalar fallback build.

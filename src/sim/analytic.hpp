@@ -94,6 +94,12 @@ class AnalyticZigzag final : public ScheduleSource {
       Real max_magnitude) const override;
   [[nodiscard]] std::size_t footprint_bytes() const override;
 
+  /// The ladder parameters: the head waypoints up to and including the
+  /// seed, kappa and the barrier determine the whole schedule, so a
+  /// caller can walk it on the stack (eval/expectation's closed form).
+  [[nodiscard]] const std::vector<Waypoint>& head() const noexcept {
+    return head_;
+  }
   [[nodiscard]] Real kappa() const noexcept { return kappa_; }
   [[nodiscard]] Real barrier() const noexcept { return barrier_; }
   [[nodiscard]] const Waypoint& seed() const noexcept {

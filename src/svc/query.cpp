@@ -124,18 +124,20 @@ Real profile_extent(const Real window_hi) {
 /// This is the ONE evaluation body both the direct path and the service
 /// run, so caching layers cannot change an answered bit by construction.
 /// The service passes the backend's anchor profile for the query's
-/// budget; the direct path passes none, and the kernel's answer is
-/// bitwise the same either way.
+/// budget (and, on a miss that grew it, the window ends' times filled
+/// with the growth); the direct path passes neither, and the kernel's
+/// answer is bitwise the same either way.
 QueryResult evaluate_on_backend(const CrQuery& canonical,
                                 const Fleet& backend,
-                                const kernels::AnchorProfile* profile) {
+                                const kernels::AnchorProfile* profile,
+                                const kernels::KnownProbes* known = nullptr) {
   QueryResult result;
   switch (canonical.regime) {
     case FaultRegime::kNone: {
-      const CrEvalResult scan =
-          measure_cr(backend, canonical.f,
-                     eval_options_of(canonical, /*require_finite=*/true),
-                     profile);
+      const CrEvalResult scan = kernels::measure_cr_kernel(
+          backend, canonical.f,
+          eval_options_of(canonical, /*require_finite=*/true), profile,
+          known);
       result.cr = scan.cr;
       result.argmax = scan.argmax;
       result.cr_positive = scan.cr_positive;
@@ -148,10 +150,10 @@ QueryResult evaluate_on_backend(const CrQuery& canonical,
       // The quorum scan at budget 2f — field-identical to
       // measure_byzantine_cr (eval/byzantine), with the side suprema
       // preserved.  Infeasible pairs (n < 2f+1) report cr = kInfinity.
-      const CrEvalResult scan =
-          measure_cr(backend, 2 * canonical.f,
-                     eval_options_of(canonical, /*require_finite=*/false),
-                     profile);
+      const CrEvalResult scan = kernels::measure_cr_kernel(
+          backend, 2 * canonical.f,
+          eval_options_of(canonical, /*require_finite=*/false), profile,
+          known);
       result.feasible = static_cast<int>(backend.size()) >=
                         2 * canonical.f + 1;
       result.probes = scan.probes;
@@ -344,18 +346,9 @@ QueryService::Backend QueryService::backend_for(const std::string& key,
   return backend;
 }
 
-std::shared_ptr<const kernels::AnchorProfile> QueryService::grow_profile(
+void QueryService::publish_profile(
     const std::string& key, const Backend& backend, const std::size_t slot,
-    const int budget, const Real window_hi) {
-  // Grown outside the lock: concurrent growers of one entry each build
-  // their own copy, and the widest one published stays.
-  const Real extent = profile_extent(window_hi);
-  const std::shared_ptr<const kernels::AnchorProfile>& snapshot =
-      backend.profiles[slot];
-  auto grown = std::make_shared<const kernels::AnchorProfile>(
-      snapshot != nullptr
-          ? snapshot->grown(*backend.fleet, extent)
-          : kernels::AnchorProfile(budget).grown(*backend.fleet, extent));
+    std::shared_ptr<const kernels::AnchorProfile> grown) {
   obs::count(SvcMetrics::instance().profile_grows);
   bump(tallies_.profile_grows);
   const std::lock_guard<std::mutex> lock(backends_mutex_);
@@ -363,9 +356,10 @@ std::shared_ptr<const kernels::AnchorProfile> QueryService::grow_profile(
   if (it != backends_.end() && it->second.backend.fleet == backend.fleet) {
     std::shared_ptr<const kernels::AnchorProfile>& held =
         it->second.backend.profiles[slot];
-    if (held == nullptr || held->extent() < grown->extent()) held = grown;
+    if (held == nullptr || held->extent() < grown->extent()) {
+      held = std::move(grown);
+    }
   }
-  return grown;
 }
 
 QueryResult QueryService::compute(const CrQuery& canonical) {
@@ -374,17 +368,30 @@ QueryResult QueryService::compute(const CrQuery& canonical) {
   const Backend backend = backend_for(key, canonical);
   obs::count(SvcMetrics::instance().evaluations);
   bump(tallies_.evaluations);
-  std::shared_ptr<const kernels::AnchorProfile> profile;
   const int slot = profile_slot(canonical.regime);
-  if (slot >= 0) {
-    const auto index = static_cast<std::size_t>(slot);
-    profile = backend.profiles[index];
-    if (profile == nullptr || !profile->reaches(canonical.window_hi)) {
-      profile = grow_profile(key, backend, index, canonical.f * (slot + 1),
-                             canonical.window_hi);
-    }
+  if (slot < 0) return evaluate_on_backend(canonical, *backend.fleet, nullptr);
+  const auto index = static_cast<std::size_t>(slot);
+  const std::shared_ptr<const kernels::AnchorProfile>& profile =
+      backend.profiles[index];
+  if (profile != nullptr && profile->reaches(canonical.window_hi)) {
+    return evaluate_on_backend(canonical, *backend.fleet, profile.get());
   }
-  return evaluate_on_backend(canonical, *backend.fleet, profile.get());
+  // A growing miss grows a private copy (or a fresh profile) to the next
+  // power of two at or above window_hi, outside the registry lock, in one
+  // fill with its own window ends, and publishes it before its scan.
+  // Concurrent growers of one entry each build their own copy, and the
+  // widest one published stays.
+  const kernels::AnchorProfile empty(canonical.f * (slot + 1));
+  kernels::KnownProbes ends{
+      .probes = kernels::window_end_probes(canonical.window_lo,
+                                           canonical.window_hi),
+      .times = {}};
+  auto grown = std::make_shared<const kernels::AnchorProfile>(
+      (profile != nullptr ? *profile : empty)
+          .grown(*backend.fleet, profile_extent(canonical.window_hi),
+                 ends.probes, ends.times));
+  publish_profile(key, backend, index, grown);
+  return evaluate_on_backend(canonical, *backend.fleet, grown.get(), &ends);
 }
 
 bool QueryService::cache_lookup(const std::size_t shard_index,

@@ -236,12 +236,11 @@ class QueryService {
   /// as most recently used.
   [[nodiscard]] Backend backend_for(const std::string& key,
                                     const CrQuery& canonical);
-  /// backend.profiles[slot] (or an empty profile at `budget`) grown to
-  /// cover window_hi, published to the registry entry `key` if it is
-  /// wider than what the entry holds by then.
-  [[nodiscard]] std::shared_ptr<const kernels::AnchorProfile> grow_profile(
-      const std::string& key, const Backend& backend, std::size_t slot,
-      int budget, Real window_hi);
+  /// Publish a miss's grown anchor profile to the registry entry `key`
+  /// if it is wider than what the entry holds by then.
+  void publish_profile(const std::string& key, const Backend& backend,
+                       std::size_t slot,
+                       std::shared_ptr<const kernels::AnchorProfile> grown);
   [[nodiscard]] QueryResult compute(const CrQuery& canonical);
   [[nodiscard]] bool cache_lookup(std::size_t shard_index,
                                   const std::string& key,

@@ -509,19 +509,16 @@ DifferentialResult diff_expectation_vs_montecarlo(
     exact_options.p = p;
     const Real exact = expected_detection_time(fleet, x, exact_options);
     const Real first_visit = fleet.detection_time(x, 0);
-    // Lazy merge vs the capped reference: bitwise when the capped pass
-    // summed exactly the true merged prefix, else within rel_tol (it may
-    // have summed visits out of order past its horizon).
-    detail::CappedTrace trace;
-    const Real capped = detail::expected_detection_time_capped(
-        fleet, x, exact_options, &trace);
-    const bool lazy_matches =
-        trace.inside_horizon
-            ? value_identical(exact, capped)
-            : value_identical(exact, capped) ||
-                  std::fabs(exact - capped) <=
-                      exact_options.rel_tol * std::fabs(capped);
-    if (!lazy_matches) record(result, job, "lazy_vs_capped", capped, exact);
+    // Closed form vs the lazy merge, wherever the lazy pass settled on
+    // a contracting window before any visit time left Real range: the
+    // lazy sum stops within rel_tol of the whole series.
+    bool lazy_converged = false;
+    const Real lazy = detail::expected_detection_time_lazy(
+        fleet, x, exact_options, &lazy_converged);
+    if (lazy_converged &&
+        !(std::fabs(exact - lazy) <= exact_options.rel_tol * lazy)) {
+      record(result, job, "closed_vs_lazy", lazy, exact);
+    }
     if (p == 0) {
       // No faults, no sampling: the series IS the first visit, bitwise.
       if (!value_identical(exact, first_visit)) {
@@ -578,6 +575,16 @@ DifferentialResult diff_expectation_vs_montecarlo(
                       std::to_string(result.mismatches.size() - 1) +
                       " more mismatches)";
   }
+  return result;
+}
+
+DifferentialResult diff_expectation_near_threshold(
+    const int n, const int f, const std::vector<Real>& targets) {
+  const Real p = expectation_convergence_threshold(n, f) * (1 - Real{1e-4L});
+  DifferentialResult result =
+      diff_expectation_vs_montecarlo(n, f, p, targets);
+  result.name = "expectation_near_threshold";
+  if (!result.passed) result.message += " (p = " + real_str(p) + ")";
   return result;
 }
 

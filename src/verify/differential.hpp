@@ -163,10 +163,10 @@ struct DifferentialOptions {
 /// realization of the SAME per-visit fault model (eval/montecarlo
 /// mc_expected_detection_time), on the unbounded A(n, f) backend at the
 /// fuzzer's adversarial targets.  Per target:
-///   * lazy_vs_capped: the lazy merge agrees with the capped reference
-///     (detail::expected_detection_time_capped) bit for bit whenever the
-///     capped pass settled inside its horizon, and within rel_tol
-///     otherwise;
+///   * closed_vs_lazy: the closed form agrees within rel_tol with the
+///     lazy merge (detail::expected_detection_time_lazy) wherever the
+///     lazy pass settled on a contracting window before any visit time
+///     left Real range;
 ///   * p == 0: expected_detection_time collapses to the fault-free first
 ///     visit, bit for bit (no sampling involved);
 ///   * p past the ladder threshold kappa^(-1/n): the engine must report
@@ -180,6 +180,18 @@ struct DifferentialOptions {
 [[nodiscard]] DifferentialResult diff_expectation_vs_montecarlo(
     int n, int f, Real p, const std::vector<Real>& targets,
     std::uint64_t seed = 0x5eed0bab01234567ULL, int trials = 400);
+
+/// diff_expectation_vs_montecarlo's near-threshold variant, named
+/// expectation_near_threshold: the same checks at p = threshold(n, f) *
+/// (1 - 1e-4), a pure function of (n, f).  There the series needs tens
+/// of thousands of periods and the lazy merge runs its ladder out of
+/// Real range before it settles, so closed_vs_lazy applies only where
+/// the lazy pass converged (rarely; on no fuzz target of seeds 1-2000);
+/// `finite` and `first_visit_bound` always apply, and the MC band never
+/// does (the sample variance diverges this close).  A failure message
+/// carries the variant's p.
+[[nodiscard]] DifferentialResult diff_expectation_near_threshold(
+    int n, int f, const std::vector<Real>& targets);
 
 /// SoA kernel path (eval/kernels measure_cr_kernel, which prunes the
 /// interior samples that cannot move the supremum) vs the scalar

@@ -523,6 +523,10 @@ FuzzOutcome run_instance(const FuzzInstance& instance) {
           outcome.differentials.push_back(diff_expectation_vs_montecarlo(
               instance.n, instance.f, instance.fault_p, instance.targets,
               instance.seed ^ 0x5eed0bab01234567ULL));
+          // And at p = threshold * (1 - 1e-4), derived from (n, f) with
+          // no RNG draw, where only the closed form stays exact.
+          outcome.differentials.push_back(diff_expectation_near_threshold(
+              instance.n, instance.f, instance.targets));
         }
         if (const std::unique_ptr<SearchStrategy> strategy =
                 make_fuzz_strategy(instance)) {

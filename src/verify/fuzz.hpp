@@ -69,7 +69,8 @@ enum class FleetKind {
   /// realization of the same fault model
   /// (diff_expectation_vs_montecarlo) on the adversarial targets, with
   /// occasional draws past the ladder threshold so the divergence
-  /// branch stays exercised.
+  /// branch stays exercised; every instance also runs the same checks
+  /// 1e-4 below the threshold (diff_expectation_near_threshold).
   kProbabilisticFaults,
   /// A random CrQuery answered through a CHAOS channel: the resilient
   /// client (svc/client) talks to the in-process server through

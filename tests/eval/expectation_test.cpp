@@ -36,12 +36,14 @@
 #include "obs/metrics.hpp"
 #include "sim/analytic.hpp"
 #include "sim/faults.hpp"
+#include "sim/zigzag.hpp"
 #include "svc/query.hpp"
 #include "svc/server.hpp"
 #include "util/csv.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "verify/differential.hpp"
+#include "verify/fuzz.hpp"
 #include "verify/invariants.hpp"
 
 namespace linesearch {
@@ -229,23 +231,21 @@ TEST(ExpectedDetectionTime, MatchesAnIndependentSeriesSummation) {
   EXPECT_NEAR(static_cast<double>(exact / manual), 1.0, 1e-9);
 }
 
-TEST(ExpectedDetectionTime, LazyMergeFixesTheCappedHorizonCase) {
+TEST(ExpectedDetectionTime, ClosedFormAndLazyMergeMatchABruteForcePrefix) {
   // A(4, 2) at p = 0.7, at the scan's right-limit probe past 3*sqrt(3)
-  // (window_hi 7.708, no interior samples).  The series needs more terms
-  // than the capped reference's first pass has before the earliest
-  // robot's last built visit, so the capped pass sums visits out of
-  // order there and lands on different bits.  Both must sit within
-  // rel_tol of a brute-force sum over a long materialized prefix, cut at
-  // the earliest robot's last built visit so no visit is missing.
+  // (window_hi 7.708, no interior samples), where the series needs
+  // thousands of terms.  The closed form and the lazy merge must both
+  // sit within rel_tol of a brute-force sum over a long materialized
+  // prefix, cut at the earliest robot's last built visit so no visit is
+  // missing.
   const Fleet fleet = ProportionalAlgorithm(4, 2).build_unbounded_fleet();
   const ExpectationOptions options = expectation_at(0.7L);
   const Real x = 3 * std::sqrt(Real{3}) * (1 + Real{1e-9L});
-  detail::CappedTrace trace;
-  const Real capped =
-      detail::expected_detection_time_capped(fleet, x, options, &trace);
-  const Real lazy = expected_detection_time(fleet, x, options);
-  EXPECT_FALSE(trace.inside_horizon);
-  EXPECT_FALSE(value_identical(lazy, capped));
+  const Real closed = expected_detection_time(fleet, x, options);
+  bool converged = false;
+  const Real lazy =
+      detail::expected_detection_time_lazy(fleet, x, options, &converged);
+  EXPECT_TRUE(converged);
 
   std::vector<Real> merged;
   Real horizon = kInfinity;
@@ -263,19 +263,22 @@ TEST(ExpectedDetectionTime, LazyMergeFixesTheCappedHorizonCase) {
                     : term * options.p * (merged[k] / merged[k - 1]);
     brute += term;
   }
+  EXPECT_LE(std::fabs(closed - brute), options.rel_tol * brute);
   EXPECT_LE(std::fabs(lazy - brute), options.rel_tol * brute);
-  EXPECT_LE(std::fabs(capped - brute), options.rel_tol * brute);
+  EXPECT_LE(std::fabs(closed - lazy), options.rel_tol * lazy);
 }
 
 TEST(ExpectedDetectionTime, MaxVisitsCapsTheTermsConsumed) {
-  // Near the threshold (A(2, 1) at p = 0.7) the series needs thousands of
-  // terms.  A 64-term cap stops the merge there and extrapolates the
-  // last window's closed-form tail, which lands close to the full sum.
+  // Near the threshold (A(2, 1) at p = 0.7) the lazy merge needs
+  // thousands of terms.  A 64-term cap stops it there and extrapolates
+  // the last window's geometric tail, which lands close to the exact
+  // sum.
   const Fleet fleet = ProportionalAlgorithm(2, 1).build_unbounded_fleet();
   ExpectationOptions capped = expectation_at(0.7L);
   capped.max_visits = 64;
   obs::Registry::instance().reset();
-  const Real short_sum = expected_detection_time(fleet, 3.0L, capped);
+  const Real short_sum =
+      detail::expected_detection_time_lazy(fleet, 3.0L, capped);
   if constexpr (obs::kEnabled) {
     std::uint64_t terms = 0;
     for (const obs::MetricSnapshot& snap :
@@ -321,6 +324,205 @@ TEST(ExpectedDetectionTime, GuardsRejectBadInput) {
   bad_cap.max_visits = 8;
   EXPECT_THROW((void)expected_detection_time(fleet, 1, bad_cap),
                PreconditionError);
+}
+
+// ---------------------------------------------------------------------------
+// The closed form on ladder fleets
+// ---------------------------------------------------------------------------
+
+/// E[T(5.3)] of A(2, 1) derived by hand.  kappa = 2, beta = 3, and the
+/// robots' seeds sit at 1 (t = 3) and 1/2 (t = 3/2), so every turn x_k
+/// is at t = 3|x_k| and a leg from x_k crosses 5.3 at 4|x_k| -+ 5.3.
+/// The merged visits are t_1 = 16 + 5.3 and, for m >= 1,
+/// t_(2m) = 16 * 2^m - 5.3 and t_(2m+1) = 16 * 2^m + 5.3, so
+///   E = (1-p) [21.3 + 16 (1+p)/p * 2p^2/(1 - 2p^2)
+///                   - 5.3 (1-p)/p * p^2/(1 - p^2)].
+/// At p = 0.7 that is 0.3 * 98079 / 51 = 9807.9 / 17.
+Real hand_derived_a21_at_5_3(const Real p) {
+  return (1 - p) * (Real{21.3L} +
+                    16 * (1 + p) / p * (2 * p * p) / (1 - 2 * p * p) -
+                    Real{5.3L} * (1 - p) / p * (p * p) / (1 - p * p));
+}
+
+TEST(ClosedForm, MatchesTheHandDerivedA21Value) {
+  const Fleet fleet = ProportionalAlgorithm(2, 1).build_unbounded_fleet();
+  const Real exact = expected_detection_time(fleet, 5.3L, expectation_at(0.7L));
+  const Real by_hand = Real{9807.9L} / 17;
+  EXPECT_LE(std::fabs(exact - by_hand), Real{1e-15L} * by_hand)
+      << static_cast<double>(exact);
+  EXPECT_LE(std::fabs(hand_derived_a21_at_5_3(0.7L) - by_hand),
+            Real{1e-15L} * by_hand);
+}
+
+TEST(ClosedForm, NearTheThresholdMatchesTheHandDerivedValue) {
+  // threshold(2, 1) = 1/sqrt(2).  Within 1e-5 of it the lazy merge runs
+  // its ladder out of Real range before it settles; the closed form
+  // still lands on the hand-derived value.
+  const Fleet fleet = ProportionalAlgorithm(2, 1).build_unbounded_fleet();
+  const Real threshold = expectation_convergence_threshold(2, 1);
+  for (const Real gap : {Real{1e-5L}, Real{3e-6L}, Real{1e-4L}}) {
+    const Real p = threshold - gap;
+    const Real exact = expected_detection_time(fleet, 5.3L, expectation_at(p));
+    const Real by_hand = hand_derived_a21_at_5_3(p);
+    EXPECT_LE(std::fabs(exact - by_hand), Real{1e-12L} * by_hand)
+        << "gap " << static_cast<double>(gap) << ": "
+        << static_cast<double>(exact) << " vs "
+        << static_cast<double>(by_hand);
+  }
+  bool converged = true;
+  (void)detail::expected_detection_time_lazy(
+      fleet, 5.3L, expectation_at(threshold - Real{1e-5L}), &converged);
+  EXPECT_FALSE(converged);
+}
+
+TEST(ClosedForm, NoCodePathExtrapolatesOnALadderFleet) {
+  // The smallest term cap the options allow must not change a single
+  // bit on ladder fleets, even where the head takes more terms than the
+  // cap: the closed form sums a few periods of head terms and adds the
+  // exact tail, near the threshold as much as far from it.
+  for (const auto& [n, f] :
+       std::vector<std::pair<int, int>>{{2, 1}, {4, 2}, {5, 3}, {8, 7}}) {
+    const Fleet fleet = ProportionalAlgorithm(n, f).build_unbounded_fleet();
+    const Real threshold = expectation_convergence_threshold(n, f);
+    for (const Real p : {threshold * Real{0.3L}, threshold - Real{1e-4L},
+                         threshold - Real{1e-7L}}) {
+      ExpectationOptions capped = expectation_at(p);
+      capped.max_visits = 16;
+      for (const Real x : {1.0L, -2.5L, 7.708L, -16.0L, 1000.0L}) {
+        obs::Registry::instance().reset();
+        const Real exact = expected_detection_time(fleet, x, capped);
+        EXPECT_TRUE(std::isfinite(static_cast<double>(exact)));
+        EXPECT_TRUE(value_identical(
+            exact, expected_detection_time(fleet, x, expectation_at(p))))
+            << "n=" << n << " f=" << f << " x=" << static_cast<double>(x);
+        if constexpr (obs::kEnabled) {
+          for (const obs::MetricSnapshot& snap :
+               obs::Registry::instance().snapshot()) {
+            if (snap.name == "eval.expectation.visits") {
+              EXPECT_LE(snap.value, 8u * static_cast<unsigned>(n))
+                  << "n=" << n << " f=" << f;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(ClosedForm, DivergesExactlyAtTheFleetsOwnKappa) {
+  // p^(2n) kappa^2 >= 1 decides, with the fleet's kappa: A(3, 1) at
+  // beta = 3 has kappa = 2, so its threshold is 2^(-1/3) ~ 0.794, not
+  // beta*'s 4^(-1/3) ~ 0.630; at beta = 1.25 kappa = 9 and the
+  // threshold is 9^(-1/3) ~ 0.481.
+  for (const Real beta : {Real{3}, Real{1.25L}}) {
+    const Fleet fleet =
+        ProportionalAlgorithm(3, 1, beta).build_unbounded_fleet();
+    const Real kappa = expansion_factor(beta);
+    const Real threshold = std::pow(kappa, Real{-1} / 3);
+    EXPECT_TRUE(std::isfinite(static_cast<double>(expected_detection_time(
+        fleet, 2.5L, expectation_at(threshold * (1 - Real{1e-9L}))))));
+    EXPECT_TRUE(value_identical(
+        expected_detection_time(fleet, 2.5L,
+                                expectation_at(threshold * (1 + Real{1e-9L}))),
+        kInfinity));
+  }
+}
+
+TEST(ClosedForm, FleetsOffTheLadderTakeTheLazyMerge) {
+  // Two zigzags with different kappas share no period: the closed form
+  // does not apply and the answer is the lazy merge's, bit for bit.
+  const Fleet mixed(
+      {ProportionalAlgorithm(2, 1).build_unbounded_fleet().robot(0),
+       ProportionalAlgorithm(2, 1, 3.5L).build_unbounded_fleet().robot(1)});
+  for (const Real x : {1.5L, -3.0L, 9.0L}) {
+    const ExpectationOptions options = expectation_at(0.4L);
+    EXPECT_TRUE(value_identical(
+        expected_detection_time(mixed, x, options),
+        detail::expected_detection_time_lazy(mixed, x, options)));
+  }
+}
+
+TEST(ClosedForm, WorkStaysBoundedAcrossTheScanGrid) {
+  // Every probe of the A(n, f) scans with n <= 8, window [1, 16] and no
+  // interior samples: the closed form sums at most 24 head terms per
+  // evaluation on average at every p (the lazy merge's two-window floor
+  // alone was 4n terms, at least 16).
+  if constexpr (!obs::kEnabled) {
+    GTEST_SKIP() << "observability compiled out (LINESEARCH_OBS=OFF)";
+  }
+  for (const Real p : {0.05L, 0.3L, 0.5L, 0.7L}) {
+    obs::Registry::instance().reset();
+    for (const auto& [n, f] : proportional_regime_pairs(8)) {
+      const Fleet fleet = ProportionalAlgorithm(n, f).build_unbounded_fleet();
+      ExpectationOptions options = expectation_at(p);
+      options.eval.interior_samples = 0;
+      (void)measure_expected_cr(fleet, options);
+    }
+    std::uint64_t visits = 0;
+    std::uint64_t evaluations = 0;
+    for (const obs::MetricSnapshot& snap :
+         obs::Registry::instance().snapshot()) {
+      if (snap.name == "eval.expectation.visits") visits = snap.value;
+      if (snap.name == "eval.expectation.evaluations") {
+        evaluations = snap.value;
+      }
+    }
+    ASSERT_GT(evaluations, 0u);
+    EXPECT_LE(visits, 24 * evaluations)
+        << "p=" << static_cast<double>(p) << ": " << visits << " visits over "
+        << evaluations << " evaluations";
+  }
+}
+
+TEST(ClosedForm, NearThresholdScanCostsNoMoreThanAFarOne) {
+  // measure_expected_cr of A(2, 1), window 16, no interior samples: the
+  // scan at p = 0.7 (1e-2 below the threshold) sums no more head terms
+  // than the scan at p = 0.05, where the lazy merge needed thousands
+  // per probe at 0.7 against tens at 0.05.
+  if constexpr (!obs::kEnabled) {
+    GTEST_SKIP() << "observability compiled out (LINESEARCH_OBS=OFF)";
+  }
+  const Fleet fleet = ProportionalAlgorithm(2, 1).build_unbounded_fleet();
+  std::uint64_t visits[2] = {0, 0};
+  const Real ps[2] = {0.05L, 0.7L};
+  for (int i = 0; i < 2; ++i) {
+    obs::Registry::instance().reset();
+    ExpectationOptions options = expectation_at(ps[i]);
+    options.eval.interior_samples = 0;
+    const CrEvalResult scan = measure_expected_cr(fleet, options);
+    EXPECT_TRUE(std::isfinite(static_cast<double>(scan.cr)));
+    for (const obs::MetricSnapshot& snap :
+         obs::Registry::instance().snapshot()) {
+      if (snap.name == "eval.expectation.visits") visits[i] = snap.value;
+    }
+  }
+  EXPECT_GT(visits[0], 0u);
+  EXPECT_LE(visits[1], visits[0]);
+}
+
+TEST(ClosedForm, FuzzInstancesRunTheNearThresholdVariant) {
+  // Every probabilistic-faults instance of the corpus seeds also races
+  // closed form vs lazy 1e-4 below its pair's threshold, under its own
+  // name so a shrunk repro says which p failed; the variant draws
+  // nothing, so the instances themselves are unchanged.
+  int ran = 0;
+  for (std::uint64_t seed = 1; seed <= 120 && ran < 3; ++seed) {
+    const verify::FuzzInstance instance = verify::generate_instance(seed);
+    if (instance.kind != verify::FleetKind::kProbabilisticFaults) continue;
+    ++ran;
+    const verify::FuzzOutcome outcome = verify::run_instance(instance);
+    EXPECT_TRUE(outcome.ok()) << outcome.describe();
+    int near = 0;
+    for (const verify::DifferentialResult& result : outcome.differentials) {
+      if (result.name == "expectation_near_threshold") ++near;
+    }
+    EXPECT_EQ(near, 1) << "seed " << seed;
+  }
+  EXPECT_EQ(ran, 3);
+  const verify::DifferentialResult direct =
+      verify::diff_expectation_near_threshold(4, 2, {1.5L, -7.708L, 16.0L});
+  EXPECT_TRUE(direct.ok()) << direct.message;
+  EXPECT_EQ(direct.name, "expectation_near_threshold");
 }
 
 // ---------------------------------------------------------------------------
@@ -576,6 +778,35 @@ TEST(SvcProbabilistic, ServiceMatchesDirectColdAndWarm) {
   expect_result_identical(cold, direct, "cold");
   expect_result_identical(warm, direct, "warm");
   EXPECT_GT(service.stats().cache_hits, 0u);
+}
+
+TEST(SvcProbabilistic, DivergenceFollowsTheBackendsOwnKappa) {
+  // A(3, 1) off its optimal beta: p sits between beta*'s threshold
+  // 4^(-1/3) ~ 0.630 and the backend's own kappa^(-1/3), so the
+  // optimal-beta predicate and the backend disagree, and the backend
+  // decides: finite at beta = 3 (kappa 2, threshold ~0.794), infinite at
+  // beta = 1.25 (kappa 9, threshold ~0.481).
+  struct Case {
+    Real beta;
+    Real p;
+    bool finite;
+  };
+  for (const Case& c : {Case{3, 0.7L, true}, Case{1.25L, 0.55L, false}}) {
+    const Real own_threshold =
+        std::pow(expansion_factor(c.beta), Real{-1} / 3);
+    ASSERT_EQ(c.p < own_threshold, c.finite);
+    ASSERT_EQ(expectation_converges(3, 1, c.p), !c.finite);
+    CrQuery query = probabilistic_query(3, 1, c.p);
+    query.beta = c.beta;
+    const QueryResult direct = svc::evaluate_query_direct(query);
+    QueryService service;
+    const QueryResult served = service.evaluate(query);
+    expect_result_identical(direct, served,
+                            "beta=" + std::to_string(double(c.beta)));
+    EXPECT_EQ(std::isfinite(static_cast<double>(direct.cr)), c.finite)
+        << "beta=" << static_cast<double>(c.beta);
+    EXPECT_EQ(direct.undetected_probes == 0, c.finite);
+  }
 }
 
 TEST(SvcProbabilistic, CacheOffMatchesCacheOn) {

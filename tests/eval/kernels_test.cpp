@@ -13,6 +13,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -709,6 +710,111 @@ TEST(MeasureCrKernel, ProfileScanPastTheCapIsBitIdentical) {
         }
       }
     }
+  }
+}
+
+/// Every turn of both profiles, bitwise.
+void expect_same_profile(const kernels::AnchorProfile& got,
+                         const kernels::AnchorProfile& want) {
+  EXPECT_TRUE(value_identical(got.extent(), want.extent()));
+  for (const int side : {+1, -1}) {
+    const auto& a = got.side(side);
+    const auto& b = want.side(side);
+    ASSERT_EQ(a.turns.size(), b.turns.size()) << "side " << side;
+    EXPECT_TRUE(value_identical(a.extent, b.extent)) << "side " << side;
+    EXPECT_EQ(a.capped, b.capped) << "side " << side;
+    for (std::size_t i = 0; i < a.turns.size(); ++i) {
+      EXPECT_TRUE(value_identical(a.turns[i].magnitude, b.turns[i].magnitude));
+      EXPECT_TRUE(value_identical(a.turns[i].time, b.turns[i].time));
+      EXPECT_TRUE(
+          value_identical(a.turns[i].limit_time, b.turns[i].limit_time));
+    }
+  }
+}
+
+TEST(MeasureCrKernel, WindowEndsFilledWithAGrowthAreOneSweep) {
+  // A growing miss: grown() with the window ends as extra probes must
+  // grow the profile bitwise like grown() alone, and the scan taking the
+  // ends' times as known must equal the scan that fills them, bitwise,
+  // from an empty profile, from a narrower one and past the cap.  On an
+  // analytic fleet with no kept samples the pair sweeps each robot once,
+  // not twice.
+  for (const auto& [n, f] :
+       std::vector<std::pair<int, int>>{{2, 1}, {5, 2}, {8, 5}, {12, 11}}) {
+    const Fleet fleet = ProportionalAlgorithm(n, f).build_unbounded_fleet();
+    for (const int budget : {f, 2 * f}) {
+      SCOPED_TRACE(testing::Message() << "n=" << n << " budget=" << budget);
+      const kernels::AnchorProfile empty(budget);
+      const kernels::AnchorProfile narrow = empty.grown(fleet, 16);
+      for (const kernels::AnchorProfile* base : {&empty, &narrow}) {
+        for (const auto& [lo, hi, extent] :
+             std::vector<std::tuple<Real, Real, Real>>{
+                 {1, 100, 128}, {3.25L, 200, 256}, {1, 1e30L, 1e30L}}) {
+          kernels::KnownProbes ends{
+              .probes = kernels::window_end_probes(lo, hi), .times = {}};
+          const kernels::AnchorProfile grown =
+              base->grown(fleet, extent, ends.probes, ends.times);
+          const kernels::AnchorProfile want = base->grown(fleet, extent);
+          expect_same_profile(grown, want);
+          ASSERT_EQ(ends.times.size(), ends.probes.size());
+          for (std::size_t i = 0; i < ends.times.size(); ++i) {
+            EXPECT_TRUE(value_identical(
+                ends.times[i],
+                fleet.detection_time(ends.probes.sides[i] *
+                                         ends.probes.magnitudes[i],
+                                     budget)));
+          }
+          for (const int k : {0, 4}) {
+            CrEvalOptions options;
+            options.window_lo = lo;
+            options.window_hi = hi;
+            options.interior_samples = k;
+            options.require_finite = false;
+            expect_same_outcome(
+                run_scan([&] {
+                  return kernels::measure_cr_kernel(fleet, budget, options,
+                                                    &grown, &ends);
+                }),
+                run_scan([&] {
+                  return kernels::measure_cr_kernel(fleet, budget, options,
+                                                    &want);
+                }),
+                "k=" + std::to_string(k));
+          }
+        }
+      }
+    }
+  }
+  if constexpr (obs::kEnabled) {
+    const Fleet fleet = ProportionalAlgorithm(5, 2).build_unbounded_fleet();
+    CrEvalOptions options;
+    options.window_hi = 100;
+    options.interior_samples = 0;
+    const auto sweeps = [](const auto& run) {
+      obs::Registry::instance().reset();
+      run();
+      for (const obs::MetricSnapshot& snap :
+           obs::Registry::instance().snapshot()) {
+        if (snap.name == "sim.analytic.batched_sweeps") return snap.value;
+      }
+      return std::uint64_t{0};
+    };
+    const kernels::AnchorProfile empty(2);
+    EXPECT_EQ(sweeps([&] {
+                kernels::KnownProbes ends{
+                    .probes = kernels::window_end_probes(1, 100),
+                    .times = {}};
+                const kernels::AnchorProfile profile =
+                    empty.grown(fleet, 128, ends.probes, ends.times);
+                (void)kernels::measure_cr_kernel(fleet, 2, options, &profile,
+                                                 &ends);
+              }),
+              5u);
+    EXPECT_EQ(sweeps([&] {
+                const kernels::AnchorProfile profile = empty.grown(fleet, 128);
+                (void)kernels::measure_cr_kernel(fleet, 2, options, &profile);
+              }),
+              10u);
   }
 }
 

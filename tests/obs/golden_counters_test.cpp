@@ -169,8 +169,11 @@ std::string serialize(const std::vector<PairCounters>& pairs) {
   // svc.probabilistic_queries count per pair; schema /4 drops the
   // visit-cache fields (lookups, inserts, hits) with the cache itself;
   // schema /5 redefines expectation_visits as the series terms the lazy
-  // merge consumed (it was the size of the last capped merged list).
-  json.field("schema", "linesearch-golden-obs/5");
+  // merge consumed (it was the size of the last capped merged list);
+  // schema /6 counts only the head terms the closed form sums before
+  // its exact tail on these ladder fleets, and visit_queries drops the
+  // cursors the lazy merge opened.
+  json.field("schema", "linesearch-golden-obs/6");
   json.field("window_lo", 1);
   json.field("window_hi", 16);
   json.key("pairs").begin_array();

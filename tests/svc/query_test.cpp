@@ -15,6 +15,7 @@
 
 #include "core/competitive.hpp"
 #include "eval/validation.hpp"
+#include "obs/metrics.hpp"
 #include "util/error.hpp"
 #include "verify/invariants.hpp"
 
@@ -232,6 +233,49 @@ TEST(QueryService, AnchorProfilesGrowOnlyPastTheirExtent) {
   probabilistic.fault_p = 0.25L;
   check(probabilistic, 3);           // no measure_cr scan, no profile
   EXPECT_EQ(service.stats().backend_builds, 1u);
+}
+
+/// sim.analytic.batched_sweeps over one service evaluation.
+std::uint64_t sweeps_of(QueryService& service, const CrQuery& query) {
+  obs::Registry::instance().reset();
+  (void)service.evaluate(query);
+  for (const obs::MetricSnapshot& snap :
+       obs::Registry::instance().snapshot()) {
+    if (snap.name == "sim.analytic.batched_sweeps") return snap.value;
+  }
+  return 0;
+}
+
+TEST(QueryService, GrowingMissSweepsEachRobotOnce) {
+  // A miss whose window passes its backend's profile grows the profile
+  // in the same fill that times its own window ends: one frontier sweep
+  // per robot, where growing first and scanning after took two.  The
+  // answers stay the direct path's.
+  if constexpr (!obs::kEnabled) {
+    GTEST_SKIP() << "sim.analytic.batched_sweeps needs LINESEARCH_OBS=ON";
+  }
+  QueryServiceOptions options;
+  options.cache_results = false;
+  // Byzantine-feasible pairs (n = 2f + 1), so the 2f scan sweeps too.
+  for (const auto& [n, f] : {std::pair{5, 2}, std::pair{11, 5}}) {
+    QueryService service(options);
+    const auto robots = static_cast<std::uint64_t>(n);
+    CrQuery query = pair_query(n, f, 100);  // svc_cold's warm-up window
+    EXPECT_EQ(sweeps_of(service, query), robots) << "n=" << n;
+    EXPECT_EQ(service.stats().profile_grows, 1u);
+    CrQuery byzantine = query;
+    byzantine.regime = FaultRegime::kByzantine;
+    EXPECT_EQ(sweeps_of(service, byzantine), robots) << "n=" << n;
+    EXPECT_EQ(service.stats().profile_grows, 2u);
+    query.window_hi = 1000;
+    EXPECT_EQ(sweeps_of(service, query), robots) << "n=" << n;
+    EXPECT_EQ(service.stats().profile_grows, 3u);
+    for (const CrQuery& asked : {query, byzantine}) {
+      EXPECT_TRUE(
+          same_result(service.evaluate(asked), evaluate_query_direct(asked)))
+          << "n=" << n;
+    }
+  }
 }
 
 TEST(QueryService, CacheOnAndOffAreBitIdentical) {
