@@ -2,12 +2,13 @@
 // kernels (experiment P1): trajectory construction, first-visit queries,
 // fault-aware detection, empirical CR evaluation, root solving and the
 // adversarial game.  These quantify the cost of the exact-math substrate
-// (no discretization) that all reproductions run on.
+// (no discretization) that all reproductions run on.  Narrow a run with
+// google-benchmark's own flags, e.g. --benchmark_filter=BM_ByzantineSweep.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
-#include <fstream>
-#include <iostream>
+#include <filesystem>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -22,7 +23,7 @@
 #include "eval/exact.hpp"
 #include "eval/expectation.hpp"
 #include "eval/kernels.hpp"
-#include "obs/perf_report.hpp"
+#include "eval/validation.hpp"
 #include "runtime/injector.hpp"
 #include "runtime/supervisor.hpp"
 #include "runtime/world.hpp"
@@ -30,7 +31,7 @@
 #include "sim/zigzag.hpp"
 #include "star/search.hpp"
 #include "svc/server.hpp"
-#include "util/cli.hpp"
+#include "svc/snapshot.hpp"
 #include "util/parallel.hpp"
 
 namespace {
@@ -165,8 +166,7 @@ BENCHMARK(BM_AnalyticCrSweep)->Unit(benchmark::kMillisecond);
 void BM_KernelCrScalar(benchmark::State& state) {
   // Scalar reference scan: one direct Fleet::detection_time query per
   // probe (allocation + full segment walk each).  Compare against
-  // BM_KernelCrSoA for the SoA kernel speedup (bench_perf's JSON
-  // artifact reports the same race as kernel_sweep_*).
+  // BM_KernelCrSoA for the SoA kernel speedup.
   const ProportionalAlgorithm algo(7, 4);
   const Fleet fleet = algo.build_fleet(2000);
   const CrEvalOptions options{.window_hi = 48, .interior_samples = 16};
@@ -256,7 +256,7 @@ BENCHMARK(BM_InjectedExecution)->Arg(3)->Arg(11);
 
 void BM_DegradedSweep(benchmark::State& state) {
   // The full crash -> detect -> re-plan -> re-measure pipeline over the
-  // regime grid (the perf report's degraded_sweep workload).
+  // regime grid.
   DegradedSweepOptions options;
   options.n_max = static_cast<int>(state.range(0));
   options.max_crashes = 1;
@@ -268,8 +268,7 @@ BENCHMARK(BM_DegradedSweep)->Arg(4)->Arg(6)->Unit(benchmark::kMillisecond);
 
 void BM_ByzantineSweep(benchmark::State& state) {
   // The quorum-CR scan of every regime pair against the arXiv:1611.08209
-  // closed form (the perf report's byzantine_sweep workload; also
-  // reachable alone via --workload byzantine).
+  // closed form (run it alone with --benchmark_filter=BM_ByzantineSweep).
   ByzantineSweepOptions options;
   options.n_max = static_cast<int>(state.range(0));
   for (auto _ : state) {
@@ -279,10 +278,9 @@ void BM_ByzantineSweep(benchmark::State& state) {
 BENCHMARK(BM_ByzantineSweep)->Arg(4)->Arg(6)->Unit(benchmark::kMillisecond);
 
 void BM_ProbabilisticSweep(benchmark::State& state) {
-  // The exact expected-CR engine over the regime grid times a p grid
-  // (the perf report's probabilistic_sweep workload; also reachable
-  // alone via --workload probabilistic).  Every row here is a
-  // closed-form geometric-ladder summation — no Monte Carlo.
+  // The exact expected-CR engine over the regime grid times a p grid.
+  // Every row here is a closed-form geometric-ladder summation — no
+  // Monte Carlo.
   ExpectationSweepOptions options;
   options.n_max = static_cast<int>(state.range(0));
   options.p_count = 3;
@@ -314,6 +312,48 @@ void BM_ServiceQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_ServiceQuery)->Arg(0)->Arg(1);
 
+void BM_SnapshotRoundTrip(benchmark::State& state) {
+  // One crash-safe warm restart (svc/snapshot): save a warmed result
+  // cache, restore it into a fresh server and replay the hot set.  The
+  // cache is warmed once, outside the timed loop, over the n <= 8 regime
+  // grid at a window wide enough that a miss would dwarf a hit; a
+  // restored cache that misses shows up as a hit_rate below 1.
+  std::vector<std::string> requests;
+  for (const auto& [n, f] : proportional_regime_pairs(8)) {
+    std::ostringstream request;
+    request << R"({"id": )" << requests.size() + 1
+            << R"(, "op": "cr", "n": )" << n << R"(, "f": )" << f
+            << R"(, "window_hi": 4096, "interior_samples": 64})";
+    requests.push_back(request.str());
+  }
+  svc::QueryServer warmed;
+  for (const std::string& request : requests) {
+    benchmark::DoNotOptimize(warmed.handle_line(request));
+  }
+  const std::string path = (std::filesystem::temp_directory_path() /
+                            "linesearch-bench-snapshot-round-trip")
+                               .string();
+  double hit_rate = 0;
+  for (auto _ : state) {
+    (void)svc::save_snapshot(warmed.service(), path);
+    svc::QueryServer restored;
+    if (!svc::load_snapshot(restored.service(), path).ok) {
+      state.SkipWithError("snapshot restore was rejected");
+      break;
+    }
+    for (const std::string& request : requests) {
+      benchmark::DoNotOptimize(restored.handle_line(request));
+    }
+    const svc::QueryService::Stats stats = restored.service().stats();
+    hit_rate = static_cast<double>(stats.cache_hits) /
+               static_cast<double>(stats.queries);
+  }
+  std::filesystem::remove(path);
+  state.counters["entries"] = static_cast<double>(requests.size());
+  state.counters["hit_rate"] = hit_rate;
+}
+BENCHMARK(BM_SnapshotRoundTrip)->Unit(benchmark::kMillisecond);
+
 void BM_AdversarialGame(benchmark::State& state) {
   const int n = 3, f = 1;
   const Real alpha = comfortable_alpha(n, 0.8L);
@@ -340,71 +380,4 @@ BENCHMARK(BM_StarDetection)->Arg(3)->Arg(5);
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bool timings_only = false;
-  std::string json_path = "BENCH_perf.json";
-  std::string workload;
-
-  CliParser cli("bench_perf",
-                "microbenchmark the hot kernels and write the "
-                "BENCH_perf.json artifact");
-  cli.add_flag("timings-only", &timings_only,
-               "skip the microbenchmarks' checksum workloads in the JSON "
-               "artifact");
-  cli.add_option("json", &json_path, "PATH",
-                 "artifact output path (default BENCH_perf.json)");
-  cli.add_option(
-      "workload", &workload, "NAME",
-      "narrow the microbenchmark run: "
-      "byzantine|degraded|service|probabilistic");
-  // google-benchmark owns everything spelled --benchmark_*.
-  cli.add_passthrough_prefix("--benchmark_");
-  if (!cli.parse(argc, argv)) {
-    std::cerr << cli.error() << '\n' << cli.usage();
-    return 2;
-  }
-
-  // --workload narrows the microbenchmark run to one family; the JSON
-  // artifact below still carries every summary object (including the
-  // schema /6 svc_load capacity numbers), so a focused run stays a
-  // complete report.
-  static std::string filter;
-  std::vector<char*> args;
-  args.push_back(argv[0]);
-  if (!workload.empty()) {
-    if (workload == "byzantine") {
-      filter = "--benchmark_filter=BM_ByzantineSweep";
-    } else if (workload == "degraded") {
-      filter = "--benchmark_filter=BM_DegradedSweep";
-    } else if (workload == "service") {
-      filter = "--benchmark_filter=BM_ServiceQuery";
-    } else if (workload == "probabilistic") {
-      filter = "--benchmark_filter=BM_ProbabilisticSweep";
-    } else {
-      std::cerr << "bench_perf: unknown --workload '" << workload
-                << "' (expected byzantine|degraded|service|probabilistic)\n";
-      return 1;
-    }
-    args.push_back(filter.data());
-  }
-  // Forward the collected --benchmark_* args unparsed.
-  std::vector<std::string> passthrough = cli.passthrough();
-  for (std::string& arg : passthrough) args.push_back(arg.data());
-  int filtered_argc = static_cast<int>(args.size());
-
-  if (!timings_only) {
-    benchmark::Initialize(&filtered_argc, args.data());
-    if (benchmark::ReportUnrecognizedArguments(filtered_argc, args.data())) {
-      return 1;
-    }
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-  }
-  // The JSON artifact lives in the library (obs/perf_report) so tests
-  // can pin its schema; --timings-only genuinely skips the checksum
-  // workloads there (it used to run them all regardless of the flag).
-  std::ofstream out(json_path);
-  obs::write_perf_report(out, {.timings_only = timings_only});
-  std::cerr << "wrote " << json_path << '\n';
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -1,8 +1,8 @@
 // obs/export.hpp — structured JSON export of the metric registry.
 //
-// One canonical serialization, shared by BENCH_perf.json (obs/
-// perf_report), the tools/stats_main CLI, and the golden-counter
-// regression fixtures: metrics sorted by name, each as one object.
+// One canonical serialization, shared by the tools/stats_main CLI and
+// the golden-counter regression fixtures: metrics sorted by name, each
+// as one object.
 // Counters/gauges carry "value"; histograms add "count", "sum", "bounds"
 // and "buckets" (last bucket = overflow).  Every entry carries its
 // "type" and "deterministic" flag so consumers (and the determinism

@@ -4,8 +4,8 @@
 // hot set.  A snapshot carries the result LRU across the restart: the
 // server writes one atomically on graceful drain and on a SIGUSR1
 // checkpoint (tools/serve_main --snapshot), and restores it on startup
-// — answering hot-set queries warm from the first request (the
-// `svc_restart` BENCH_perf workload measures the round trip).
+// — answering hot-set queries warm from the first request (bench_perf's
+// BM_SnapshotRoundTrip times the round trip).
 //
 // Format (text, one record per line):
 //   linesearch-svc-snapshot/1

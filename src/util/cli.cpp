@@ -87,10 +87,6 @@ void CliParser::add_option(const std::string& name, std::uint64_t* target,
        }});
 }
 
-void CliParser::add_passthrough_prefix(const std::string& prefix) {
-  passthrough_prefixes_.push_back(prefix);
-}
-
 const CliParser::Spec* CliParser::find(const std::string& name) const {
   for (const Spec& spec : specs_) {
     if (spec.name == name) return &spec;
@@ -114,19 +110,8 @@ bool CliParser::fail(const std::string& message) {
 
 bool CliParser::parse(const int argc, const char* const* argv) {
   error_.clear();
-  passthrough_args_.clear();
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    bool passed_through = false;
-    for (const std::string& prefix : passthrough_prefixes_) {
-      if (arg.rfind(prefix, 0) == 0) {
-        passthrough_args_.push_back(arg);
-        passed_through = true;
-        break;
-      }
-    }
-    if (passed_through) continue;
-
     std::string name = arg;
     std::string inline_value;
     bool has_inline_value = false;

@@ -1,16 +1,14 @@
 // util/cli.hpp — shared command-line parsing for the tool binaries.
 //
-// Every tool (fuzz_main, stats_main, serve_main, bench_perf) used to
-// hand-roll the same argv loop with slightly different conventions; this
-// parser unifies them.  Both `--name value` and `--name=value` spellings
-// are accepted for options, flags take no value, and an unknown argument
+// Every tool binary (fuzz_main, stats_main, serve_main, client_main,
+// chaos_proxy, lsbench) parses its argv here, so they share one
+// convention.  Both `--name value` and `--name=value` spellings are
+// accepted for options, flags take no value, and an unknown argument
 // produces an error that NAMES THE TOOL and lists every valid option —
 // the difference between a usable CLI and a guessing game.
 //
 // Numeric options parse strictly (the whole token must be a number) and
-// report the offending value in the error.  A passthrough prefix (e.g.
-// "--benchmark_" for google-benchmark) collects matching args unparsed
-// so wrapper binaries can forward them to an inner library.
+// report the offending value in the error.
 #pragma once
 
 #include <cstdint>
@@ -48,10 +46,6 @@ class CliParser {
   void add_option(const std::string& name, std::uint64_t* target,
                   const std::string& value_name, const std::string& help);
 
-  /// Arguments starting with `prefix` are collected verbatim into
-  /// passthrough() instead of being parsed (and instead of erroring).
-  void add_passthrough_prefix(const std::string& prefix);
-
   /// Parse argv (argv[0] ignored).  Returns false on the first error;
   /// error() then describes it.  Targets touched before the error keep
   /// their parsed values.
@@ -62,11 +56,6 @@ class CliParser {
 
   /// Multi-line usage text: summary + one line per registered option.
   [[nodiscard]] std::string usage() const;
-
-  /// Args captured by add_passthrough_prefix, in order of appearance.
-  [[nodiscard]] const std::vector<std::string>& passthrough() const {
-    return passthrough_args_;
-  }
 
  private:
   struct Spec {
@@ -85,8 +74,6 @@ class CliParser {
   std::string tool_;
   std::string summary_;
   std::vector<Spec> specs_;
-  std::vector<std::string> passthrough_prefixes_;
-  std::vector<std::string> passthrough_args_;
   std::string error_;
 };
 

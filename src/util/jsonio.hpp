@@ -1,10 +1,11 @@
 // util/jsonio.hpp — minimal streaming JSON emission + parsing.
 //
-// Machine-readable artifacts (fuzzer repro instances, BENCH_perf.json,
-// the svc wire protocol) are JSON so CI can diff them and external tools
-// can parse them without a CSV dialect.  Emission was the original
-// scope; the service layer's newline-delimited wire format added the
-// matching recursive-descent parser (`parse_json`), still dependency-free.
+// Machine-readable artifacts (fuzzer repro instances, stats_main's
+// metric reports, the svc wire protocol) are JSON so CI can diff them
+// and external tools can parse them without a CSV dialect.  Emission was
+// the original scope; the service layer's newline-delimited wire format
+// added the matching recursive-descent parser (`parse_json`), still
+// dependency-free.
 //
 // Non-finite Reals are representable: JSON has no inf/nan literals, so
 // `value(Real)` emits them as the STRINGS "inf"/"-inf"/"nan" (the same

@@ -41,6 +41,14 @@ const char* kind_name(const FleetKind kind) noexcept {
   return "unknown";
 }
 
+std::optional<FleetKind> kind_from_name(
+    const std::string_view name) noexcept {
+  for (const FleetKind kind : kFleetKinds) {
+    if (name == kind_name(kind)) return kind;
+  }
+  return std::nullopt;
+}
+
 const char* injection_name(const Injection injection) noexcept {
   switch (injection) {
     case Injection::kNone: return "none";
@@ -150,7 +158,8 @@ FuzzInstance generate_instance(const std::uint64_t seed) {
   SplitMix64 rng(seed);
   FuzzInstance instance;
   instance.seed = seed;
-  instance.kind = static_cast<FleetKind>(rng.uniform_int(0, 12));
+  instance.kind = kFleetKinds[static_cast<std::size_t>(
+      rng.uniform_int(0, static_cast<int>(kFleetKinds.size()) - 1))];
 
   switch (instance.kind) {
     case FleetKind::kProportional:

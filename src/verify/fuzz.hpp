@@ -19,8 +19,11 @@
 // C_beta) so the oracle set and the shrinker themselves stay tested.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/faults.hpp"
@@ -91,7 +94,23 @@ enum class Injection {
   kConeEscape,
 };
 
+/// Every FleetKind in declaration order.  generate_instance draws an
+/// index into this list, so its order and length are part of the
+/// seed -> instance mapping.
+inline constexpr std::array<FleetKind, 13> kFleetKinds = {
+    FleetKind::kProportional,   FleetKind::kPerturbedBeta,
+    FleetKind::kCustomCone,     FleetKind::kGroupDoubling,
+    FleetKind::kClassicCowPath, FleetKind::kUniformOffset,
+    FleetKind::kAnalyticZigzag, FleetKind::kCrashInjected,
+    FleetKind::kKernelSoA,      FleetKind::kByzantineLies,
+    FleetKind::kServerQuery,    FleetKind::kProbabilisticFaults,
+    FleetKind::kChaosWire,
+};
+
 [[nodiscard]] const char* kind_name(FleetKind kind) noexcept;
+/// The kind whose kind_name is `name`; nullopt for an unknown name.
+[[nodiscard]] std::optional<FleetKind> kind_from_name(
+    std::string_view name) noexcept;
 [[nodiscard]] const char* injection_name(Injection injection) noexcept;
 
 /// One fuzz case.  Every field is derived from `seed` by

@@ -69,6 +69,7 @@ TEST(ObsRegistry, GaugeMergesByMax) {
   const auto snap = find_metric("test.metrics.gauge");
   ASSERT_TRUE(snap.has_value());
   EXPECT_EQ(snap->type, MetricType::kGauge);
+  EXPECT_STREQ(metric_type_name(snap->type), "gauge");
   EXPECT_EQ(snap->value, 7u);
 }
 

@@ -1,5 +1,5 @@
 // util/cli: the shared argv parser behind fuzz_main, stats_main,
-// serve_main, and bench_perf — both option spellings, strict numeric
+// serve_main and the other tools — both option spellings, strict numeric
 // parsing, and the unknown-argument error that names the tool and lists
 // every valid option.
 #include "util/cli.hpp"
@@ -80,22 +80,6 @@ TEST(CliParser, Uint64OptionAcceptsLargeSeeds) {
   ASSERT_TRUE(cli.parse(static_cast<int>(argv.size()), argv.data()))
       << cli.error();
   EXPECT_EQ(seed, 18446744073709551615ULL);
-}
-
-TEST(CliParser, PassthroughPrefixCollectsVerbatim) {
-  int repetitions = 1;
-  CliParser cli("bench_perf", "test");
-  cli.add_option("repetitions", &repetitions, "N", "reps", 1);
-  cli.add_passthrough_prefix("--benchmark_");
-  const auto argv = argv_of(
-      {"--benchmark_filter=BM_Probe", "--repetitions", "3",
-       "--benchmark_min_time=0.1s"});
-  ASSERT_TRUE(cli.parse(static_cast<int>(argv.size()), argv.data()))
-      << cli.error();
-  EXPECT_EQ(repetitions, 3);
-  ASSERT_EQ(cli.passthrough().size(), 2u);
-  EXPECT_EQ(cli.passthrough()[0], "--benchmark_filter=BM_Probe");
-  EXPECT_EQ(cli.passthrough()[1], "--benchmark_min_time=0.1s");
 }
 
 TEST(CliParser, UsageListsEveryOption) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
 #include <set>
 
 #include "eval/expectation.hpp"
@@ -89,6 +90,21 @@ TEST(Fuzz, SeedsCoverEveryFleetKind) {
     kinds.insert(generate_instance(seed).kind);
   }
   EXPECT_EQ(kinds.size(), 12u);
+}
+
+TEST(Fuzz, KindNamesRoundTripThroughTheLookup) {
+  for (std::size_t i = 0; i < kFleetKinds.size(); ++i) {
+    const FleetKind kind = kFleetKinds[i];
+    // Declaration order: generate_instance indexes this list by seed.
+    EXPECT_EQ(static_cast<std::size_t>(kind), i);
+    const std::optional<FleetKind> back = kind_from_name(kind_name(kind));
+    ASSERT_TRUE(back.has_value()) << kind_name(kind);
+    EXPECT_EQ(*back, kind) << kind_name(kind);
+  }
+  for (const char* unknown : {"", "unknown", "bogus", "Proportional",
+                              "chaos-wire ", "kernel_soa"}) {
+    EXPECT_FALSE(kind_from_name(unknown).has_value()) << unknown;
+  }
 }
 
 TEST(Fuzz, GeneratedInstancesAreValid) {

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "util/cli.hpp"
@@ -27,6 +28,7 @@
 
 namespace {
 
+using linesearch::verify::FleetKind;
 using linesearch::verify::FuzzInstance;
 using linesearch::verify::FuzzOutcome;
 using linesearch::verify::Injection;
@@ -36,24 +38,18 @@ struct CliOptions {
   int count = 1;
   Injection injection = Injection::kNone;
   bool shrink = true;
-  std::string kind;  ///< empty = every kind
+  std::optional<FleetKind> kind;  ///< nullopt = every kind
   std::string json_path;
 };
 
-/// True when `name` is a kind_name the generator can produce.
-bool known_kind(const std::string& name) {
-  using linesearch::verify::FleetKind;
-  for (const FleetKind kind :
-       {FleetKind::kProportional, FleetKind::kPerturbedBeta,
-        FleetKind::kCustomCone, FleetKind::kGroupDoubling,
-        FleetKind::kClassicCowPath, FleetKind::kUniformOffset,
-        FleetKind::kAnalyticZigzag, FleetKind::kCrashInjected,
-        FleetKind::kKernelSoA, FleetKind::kByzantineLies,
-        FleetKind::kServerQuery, FleetKind::kProbabilisticFaults,
-        FleetKind::kChaosWire}) {
-    if (name == linesearch::verify::kind_name(kind)) return true;
+/// Every kind_name, comma-separated, for usage and error text.
+std::string kind_names() {
+  std::string out;
+  for (const FleetKind kind : linesearch::verify::kFleetKinds) {
+    if (!out.empty()) out += ", ";
+    out += linesearch::verify::kind_name(kind);
   }
-  return false;
+  return out;
 }
 
 /// Run one seed; on failure print (and optionally shrink) the repro.
@@ -89,6 +85,7 @@ bool run_seed(const std::uint64_t seed, const CliOptions& cli) {
 int main(const int argc, const char* const* argv) {
   CliOptions cli;
   std::string inject;
+  std::string kind;
   bool no_shrink = false;
   linesearch::CliParser parser(
       "fuzz_main", "run the verify fuzzer (deterministic seeds; exit 1 "
@@ -98,8 +95,9 @@ int main(const int argc, const char* const* argv) {
                     "number of instances to run (default 1)", 1);
   parser.add_option("inject", &inject, "FAULT",
                     "corrupt each instance first (cone-escape)");
-  parser.add_option("kind", &cli.kind, "NAME",
-                    "only run seeds of one fleet kind (see verify/fuzz)");
+  parser.add_option("kind", &kind, "NAME",
+                    "only run seeds of one fleet kind (" +
+                        kind_names() + ")");
   parser.add_flag("no-shrink", &no_shrink,
                   "print the raw failing instance without shrinking");
   parser.add_option("json", &cli.json_path, "PATH",
@@ -118,22 +116,22 @@ int main(const int argc, const char* const* argv) {
     }
     cli.injection = Injection::kConeEscape;
   }
-  if (!cli.kind.empty() && !known_kind(cli.kind)) {
-    std::cerr << "fuzz_main: unknown --kind '" << cli.kind
-              << "' (valid: proportional, perturbed-beta, custom-cone, "
-                 "group-doubling, classic-cow-path, uniform-offset, "
-                 "analytic-zigzag, crash-injected, kernel-soa, "
-                 "byzantine-lies, server-query, probabilistic-faults)\n"
-              << parser.usage();
-    return 2;
+  if (!kind.empty()) {
+    cli.kind = linesearch::verify::kind_from_name(kind);
+    if (!cli.kind) {
+      std::cerr << "fuzz_main: unknown --kind '" << kind << "' (valid: "
+                << kind_names() << ")\n"
+                << parser.usage();
+      return 2;
+    }
   }
 
   int failures = 0;
   int ran = 0;
   for (std::uint64_t seed = cli.seed; ran < cli.count; ++seed) {
-    if (!cli.kind.empty()) {
-      const FuzzInstance probe = linesearch::verify::generate_instance(seed);
-      if (cli.kind != linesearch::verify::kind_name(probe.kind)) continue;
+    if (cli.kind &&
+        linesearch::verify::generate_instance(seed).kind != *cli.kind) {
+      continue;
     }
     ++ran;
     if (!run_seed(seed, cli)) ++failures;

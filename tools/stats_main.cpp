@@ -13,11 +13,13 @@
 // ("how many probes did that sweep really run?") and a quick manual
 // determinism check outside the test suite.
 //
-// Usage: stats_main [--workload=dense|analytic|game|runtime|degraded|
-//                      byzantine|service|probabilistic|fuzz|all]
-//                   [--threads=N] [--json=PATH] [--deterministic-only]
+// Usage: stats_main [--workload=NAME] [--threads=N] [--json=PATH]
+//                   [--deterministic-only]
+// where NAME is one row of kWorkloads below, or `all` (the default).
+#include <algorithm>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -46,8 +48,8 @@ namespace {
 
 using namespace linesearch;
 
-/// The dense A(7, 4) grid shared with obs/perf_report: every fault
-/// budget crossed with three windows.
+/// The dense A(7, 4) grid bench_perf's BM_DenseCrSweep* time: every
+/// fault budget crossed with three windows.
 void run_dense(const int threads) {
   const ProportionalAlgorithm algo(7, 4);
   const Fleet fleet = algo.build_fleet(2000);
@@ -63,7 +65,7 @@ void run_dense(const int threads) {
 
 /// Unbounded analytic A(12, 11) swept over 2^20 — every visit query and
 /// window enumeration comes from closed forms.
-void run_analytic() {
+void run_analytic(int /*threads*/) {
   const ProportionalAlgorithm algo(12, 11);
   const Fleet fleet = algo.build_unbounded_fleet();
   (void)measure_cr(fleet, 11, {.window_hi = 1048576});
@@ -80,17 +82,17 @@ void run_game(const int threads) {
 }
 
 /// Online execution: 5 proportional controllers driven by the world.
-void run_runtime() {
+void run_runtime(int /*threads*/) {
   (void)run_proportional_controllers(5, 2, 1000);
 }
 
 /// A small deterministic fuzz corpus (seeds 1..16).
-void run_fuzz() { (void)verify::run_corpus(1, 16); }
+void run_fuzz(int /*threads*/) { (void)verify::run_corpus(1, 16); }
 
 /// Crash -> detect -> re-plan -> re-measure over the regime grid
 /// (runtime/supervisor.hpp); populates the runtime.replans and
 /// runtime.crash_truncations counters.
-void run_degraded() {
+void run_degraded(int /*threads*/) {
   DegradedSweepOptions options;
   options.n_max = 6;
   options.max_crashes = 2;
@@ -115,7 +117,7 @@ void run_byzantine_workload(const int threads) {
 /// The stateless query layer over the n <= 6 regime grid: one cold pass
 /// (backend builds + evaluations) and one warm pass (cache hits);
 /// populates the svc.* counters.
-void run_service() {
+void run_service(int /*threads*/) {
   svc::QueryService service;
   for (int pass = 0; pass < 2; ++pass) {
     for (const auto& [n, f] : proportional_regime_pairs(6)) {
@@ -133,7 +135,7 @@ void run_service() {
 /// warm), and one certified-divergent point past (3, 1)'s ladder
 /// threshold; populates the eval.expectation.* work profile and
 /// svc.probabilistic_queries.
-void run_probabilistic() {
+void run_probabilistic(int /*threads*/) {
   ExpectationSweepOptions sweep;
   sweep.n_max = 6;
   sweep.p_count = 3;
@@ -155,6 +157,34 @@ void run_probabilistic() {
   (void)expected_detection_time(fleet, 2, divergent);
 }
 
+/// One --workload name and its body.  `all` runs every row in order.
+struct Workload {
+  const char* name;
+  void (*run)(int threads);
+};
+
+constexpr Workload kWorkloads[] = {
+    {"dense", run_dense},
+    {"analytic", run_analytic},
+    {"game", run_game},
+    {"runtime", run_runtime},
+    {"degraded", run_degraded},
+    {"byzantine", run_byzantine_workload},
+    {"service", run_service},
+    {"probabilistic", run_probabilistic},
+    {"fuzz", run_fuzz},
+};
+
+/// Every workload name, then "all", joined by `separator`.
+std::string workload_names(const char* separator) {
+  std::string out;
+  for (const Workload& workload : kWorkloads) {
+    out += workload.name;
+    out += separator;
+  }
+  return out + "all";
+}
+
 }  // namespace
 
 int main(const int argc, const char* const* argv) {
@@ -167,8 +197,7 @@ int main(const int argc, const char* const* argv) {
                 "run instrumented workloads and dump the obs metric "
                 "registry as JSON");
   cli.add_option("workload", &workload, "NAME",
-                 "dense|analytic|game|runtime|degraded|byzantine|service|"
-                 "probabilistic|fuzz|all (default all)");
+                 workload_names("|") + " (default all)");
   cli.add_option("threads", &threads, "N",
                  "worker threads (0 = LINESEARCH_THREADS / hardware)");
   cli.add_option("json", &json_path, "PATH",
@@ -181,28 +210,20 @@ int main(const int argc, const char* const* argv) {
   }
 
   const bool all = workload == "all";
-  if (!all && workload != "dense" && workload != "analytic" &&
-      workload != "game" && workload != "runtime" &&
-      workload != "degraded" && workload != "byzantine" &&
-      workload != "service" && workload != "probabilistic" &&
-      workload != "fuzz") {
+  const auto selected = [&](const Workload& row) {
+    return all || workload == row.name;
+  };
+  if (std::none_of(std::begin(kWorkloads), std::end(kWorkloads), selected)) {
     std::cerr << "stats_main: unknown --workload '" << workload
-              << "' (valid: dense, analytic, game, runtime, degraded, "
-                 "byzantine, service, probabilistic, fuzz, all)\n"
+              << "' (valid: " << workload_names(", ") << ")\n"
               << cli.usage();
     return 2;
   }
 
   obs::Registry::instance().reset();
-  if (all || workload == "dense") run_dense(threads);
-  if (all || workload == "analytic") run_analytic();
-  if (all || workload == "game") run_game(threads);
-  if (all || workload == "runtime") run_runtime();
-  if (all || workload == "degraded") run_degraded();
-  if (all || workload == "byzantine") run_byzantine_workload(threads);
-  if (all || workload == "service") run_service();
-  if (all || workload == "probabilistic") run_probabilistic();
-  if (all || workload == "fuzz") run_fuzz();
+  for (const Workload& row : kWorkloads) {
+    if (selected(row)) row.run(threads);
+  }
 
   std::ofstream file;
   if (!json_path.empty()) file.open(json_path);
