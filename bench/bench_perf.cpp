@@ -6,10 +6,15 @@
 // google-benchmark's own flags, e.g. --benchmark_filter=BM_ByzantineSweep.
 #include <benchmark/benchmark.h>
 
+#include <unistd.h>
+
+#include <chrono>
 #include <cmath>
 #include <filesystem>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "adversary/game.hpp"
@@ -17,6 +22,7 @@
 #include "core/algorithm.hpp"
 #include "core/competitive.hpp"
 #include "core/lower_bound.hpp"
+#include "dense_grid.hpp"
 #include "eval/batch.hpp"
 #include "eval/byzantine.hpp"
 #include "eval/cr_eval.hpp"
@@ -30,6 +36,7 @@
 #include "sim/serialize.hpp"
 #include "sim/zigzag.hpp"
 #include "star/search.hpp"
+#include "svc/client.hpp"
 #include "svc/server.hpp"
 #include "svc/snapshot.hpp"
 #include "util/parallel.hpp"
@@ -89,24 +96,11 @@ void BM_MeasureCr(benchmark::State& state) {
 }
 BENCHMARK(BM_MeasureCr);
 
-/// The dense (f, window) job list both sweep benchmarks time: every
-/// fault budget of an A(7, 4) fleet crossed with three windows.  This is
-/// the grid shape bench_fig5/analysis sweeps evaluate for real.
-std::vector<CrBatchJob> dense_cr_jobs(const Fleet& fleet) {
-  std::vector<CrBatchJob> jobs;
-  for (int f = 0; f < static_cast<int>(fleet.size()); ++f) {
-    for (const Real window : {12.0L, 24.0L, 48.0L}) {
-      jobs.push_back(
-          {&fleet, f, {.window_hi = window, .interior_samples = 16}});
-    }
-  }
-  return jobs;
-}
-
+// Both dense sweeps time tools/dense_grid.hpp's A(7, 4) grid, the one
+// stats_main's `dense` workload counts.
 void BM_DenseCrSweepSerial(benchmark::State& state) {
-  const ProportionalAlgorithm algo(7, 4);
-  const Fleet fleet = algo.build_fleet(2000);
-  const std::vector<CrBatchJob> jobs = dense_cr_jobs(fleet);
+  const Fleet fleet = tools::dense_sweep_fleet();
+  const std::vector<CrBatchJob> jobs = tools::dense_cr_jobs(fleet);
   for (auto _ : state) {
     benchmark::DoNotOptimize(measure_cr_batch(jobs, {.threads = 1}));
   }
@@ -116,9 +110,8 @@ BENCHMARK(BM_DenseCrSweepSerial)->Unit(benchmark::kMillisecond);
 void BM_DenseCrSweepParallel(benchmark::State& state) {
   // Compare against BM_DenseCrSweepSerial for the speedup; the results
   // are verified identical (cr and argmax) before any timing happens.
-  const ProportionalAlgorithm algo(7, 4);
-  const Fleet fleet = algo.build_fleet(2000);
-  const std::vector<CrBatchJob> jobs = dense_cr_jobs(fleet);
+  const Fleet fleet = tools::dense_sweep_fleet();
+  const std::vector<CrBatchJob> jobs = tools::dense_cr_jobs(fleet);
   const std::vector<CrEvalResult> serial =
       measure_cr_batch(jobs, {.threads = 1});
   const std::vector<CrEvalResult> parallel =
@@ -353,6 +346,80 @@ void BM_SnapshotRoundTrip(benchmark::State& state) {
   state.counters["hit_rate"] = hit_rate;
 }
 BENCHMARK(BM_SnapshotRoundTrip)->Unit(benchmark::kMillisecond);
+
+/// The server side of BM_SocketRoundTrip: an in-process QueryServer on
+/// a temporary AF_UNIX path, with the hot keys already in its cache.
+struct SocketRoundTripServer {
+  explicit SocketRoundTripServer(const int connections)
+      : path((std::filesystem::temp_directory_path() /
+              ("linesearch-bench-rt-" + std::to_string(::getpid()) +
+               ".sock"))
+                 .string()),
+        server([connections] {
+          // One pool worker per connection: a connection holds its
+          // worker for as long as it stays open.
+          svc::QueryServerOptions options;
+          options.threads = connections;
+          return options;
+        }()) {
+    for (const auto& [n, f] : proportional_regime_pairs(5)) {
+      std::ostringstream fields;
+      fields << R"(, "op": "cr", "n": )" << n << R"(, "f": )" << f
+             << R"(, "window_hi": 64})";
+      hot_keys.push_back(fields.str());
+      (void)server.handle_line(R"({"id": 1)" + hot_keys.back());
+    }
+    accept_loop = std::thread([this] { server.serve(path); });
+    svc::SocketTransport probe(path);
+    while (!probe.connect()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  ~SocketRoundTripServer() {
+    server.stop();
+    accept_loop.join();
+  }
+
+  std::string path;
+  svc::QueryServer server;
+  std::vector<std::string> hot_keys;  ///< each request line after its id
+  std::thread accept_loop;
+};
+
+std::unique_ptr<SocketRoundTripServer> socket_round_trip_server;
+
+void BM_SocketRoundTrip(benchmark::State& state) {
+  // Lock-step calls of real QueryClients over SocketTransport against
+  // an in-process QueryServer, one connection per benchmark thread, all
+  // on cache hits: the transport and wire codec, no scan.  At 8
+  // connections on a 4-vCPU host the threads oversubscribe the CPUs,
+  // which is where a read that spins before it parks could cost.
+  const SocketRoundTripServer& shared = *socket_round_trip_server;
+  svc::QueryClient client(svc::ClientOptions{.socket_path = shared.path});
+  long long id = 1;
+  std::size_t key = static_cast<std::size_t>(state.thread_index());
+  long long failed = 0;
+  for (auto _ : state) {
+    const std::string& hot = shared.hot_keys[key++ % shared.hot_keys.size()];
+    if (!client.call_line(R"({"id": )" + std::to_string(id++) + hot).ok) {
+      ++failed;
+    }
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["failed"] = static_cast<double>(failed);
+}
+BENCHMARK(BM_SocketRoundTrip)
+    ->Setup([](const benchmark::State& state) {
+      socket_round_trip_server =
+          std::make_unique<SocketRoundTripServer>(state.threads());
+    })
+    ->Teardown([](const benchmark::State&) {
+      socket_round_trip_server.reset();
+    })
+    ->Threads(1)
+    ->Threads(2)
+    ->Threads(8)
+    ->UseRealTime();
 
 void BM_AdversarialGame(benchmark::State& state) {
   const int n = 3, f = 1;

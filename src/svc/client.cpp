@@ -1,6 +1,5 @@
 #include "svc/client.hpp"
 
-#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -141,20 +140,7 @@ bool SocketTransport::send_bytes(const std::string& data) {
 ClientTransport::ReadStatus SocketTransport::read_some(std::string& out,
                                                        const int timeout_ms) {
   if (fd_ < 0) return ReadStatus::kClosed;
-  pollfd poller{};
-  poller.fd = fd_;
-  poller.events = POLLIN;
-  const int ready = ::poll(&poller, 1, std::max(0, timeout_ms));
-  if (ready < 0) return errno == EINTR ? ReadStatus::kTimeout
-                                       : ReadStatus::kClosed;
-  if (ready == 0) return ReadStatus::kTimeout;
-  char chunk[4096];
-  const ssize_t got = ::read(fd_, chunk, sizeof chunk);
-  if (got < 0) return errno == EINTR ? ReadStatus::kTimeout
-                                     : ReadStatus::kClosed;
-  if (got == 0) return ReadStatus::kClosed;
-  out.append(chunk, static_cast<std::size_t>(got));
-  return ReadStatus::kData;
+  return read_spin_then_park(fd_, out, std::max(0, timeout_ms));
 }
 
 void SocketTransport::disconnect() {

@@ -15,10 +15,11 @@
 //     reported in ClientResult::error — never a corrupted value.
 //
 // Transports are pluggable: SocketTransport speaks AF_UNIX with
-// poll-bounded reads (what tools/client_main and the CI chaos replay
-// use); svc/chaos.hpp's ChaosLoopback wires the same client logic
-// straight into an in-process QueryServer under logical time (what
-// verify::diff_chaos_vs_library and the kChaosWire fuzzer kind use).
+// spin-then-park reads, svc/socket_io (what tools/client_main and the
+// CI chaos replay use); svc/chaos.hpp's ChaosLoopback wires the same
+// client logic straight into an in-process QueryServer under logical
+// time (what verify::diff_chaos_vs_library and the kChaosWire fuzzer
+// kind use).
 #pragma once
 
 #include <cstdint>
@@ -26,6 +27,7 @@
 #include <string>
 
 #include "svc/query.hpp"
+#include "svc/socket_io.hpp"
 
 namespace linesearch::svc {
 
@@ -42,19 +44,15 @@ class ClientTransport {
   /// Send all of `data` on the current connection.  false = broken.
   virtual bool send_bytes(const std::string& data) = 0;
 
-  enum class ReadStatus {
-    kData,     ///< bytes were appended to `out`
-    kTimeout,  ///< nothing arrived within timeout_ms
-    kClosed,   ///< peer closed / connection broken
-  };
+  using ReadStatus = svc::ReadStatus;
   /// Wait up to timeout_ms for bytes; append them to `out`.
   virtual ReadStatus read_some(std::string& out, int timeout_ms) = 0;
 
   virtual void disconnect() = 0;
 };
 
-/// AF_UNIX transport with poll-bounded connect/read and EPIPE-tolerant
-/// (MSG_NOSIGNAL) writes.
+/// AF_UNIX transport with spin-then-park, deadline-bounded reads
+/// (svc/socket_io) and EPIPE-tolerant (MSG_NOSIGNAL) writes.
 class SocketTransport final : public ClientTransport {
  public:
   explicit SocketTransport(std::string socket_path);

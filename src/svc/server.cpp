@@ -16,6 +16,7 @@
 
 #include "obs/metrics.hpp"
 #include "svc/snapshot.hpp"
+#include "svc/socket_io.hpp"
 #include "util/error.hpp"
 #include "util/jsonio.hpp"
 #include "util/parallel.hpp"
@@ -308,7 +309,6 @@ bool QueryServer::write_line(const int fd, std::string line) {
 void QueryServer::handle_connection(const int fd) {
   bump(tallies_.connections);
   std::string buffer;
-  char chunk[4096];
   bool open = true;
   // The idle clock starts at accept and resets only on a COMPLETE
   // request line — receiving stray bytes does not count as progress, so
@@ -353,13 +353,9 @@ void QueryServer::handle_connection(const int fd) {
     // rejected, never silently dropped.
     if (stopping()) {
       std::string pending;
-      while (true) {
-        pollfd sweep{};
-        sweep.fd = fd;
-        sweep.events = POLLIN;
-        if (::poll(&sweep, 1, 0) <= 0) break;
-        const ssize_t got = ::read(fd, chunk, sizeof chunk);
-        if (got <= 0) break;
+      char chunk[4096];
+      ssize_t got = 0;
+      while ((got = ::recv(fd, chunk, sizeof chunk, MSG_DONTWAIT)) > 0) {
         pending.append(chunk, static_cast<std::size_t>(got));
       }
       for (std::string& rejection : drain_reject_lines(pending)) {
@@ -387,22 +383,11 @@ void QueryServer::handle_connection(const int fd) {
       }
     }
 
-    pollfd poller{};
-    poller.fd = fd;
-    poller.events = POLLIN;
-    const int ready = ::poll(&poller, 1, kPollMillis);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      break;
+    // Spin, then park (svc/socket_io): data, a timeout and a signal all
+    // go back to the top, so stop flag and deadlines are re-checked.
+    if (read_spin_then_park(fd, buffer, kPollMillis) == ReadStatus::kClosed) {
+      break;  // EOF or a broken connection
     }
-    if (ready == 0) continue;  // timeout: re-check stop flag + deadlines
-    const ssize_t got = ::read(fd, chunk, sizeof chunk);
-    if (got < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (got == 0) break;  // EOF
-    buffer.append(chunk, static_cast<std::size_t>(got));
   }
   ::close(fd);
 }

@@ -580,11 +580,44 @@ DifferentialResult diff_expectation_vs_montecarlo(
 
 DifferentialResult diff_expectation_near_threshold(
     const int n, const int f, const std::vector<Real>& targets) {
-  const Real p = expectation_convergence_threshold(n, f) * (1 - Real{1e-4L});
+  const Real threshold = expectation_convergence_threshold(n, f);
+  const Real p = threshold * (1 - Real{1e-4L});
   DifferentialResult result =
       diff_expectation_vs_montecarlo(n, f, p, targets);
   result.name = "expectation_near_threshold";
   if (!result.passed) result.message += " (p = " + real_str(p) + ")";
+
+  // The lazy merge never settles this close, so pin the near-threshold
+  // value from below instead: E[T(x)] = t_1 + sum_k (t_(k+1) - t_k) p^k
+  // strictly increases in p, so it must exceed the value at
+  // threshold * (1 - 1e-2), where the lazy merge does settle and the
+  // closed form must agree with it.  Jobs follow the base checks'.
+  const Real p_mid = threshold * (1 - Real{1e-2L});
+  const Fleet fleet = ProportionalAlgorithm(n, f).build_unbounded_fleet();
+  ExpectationOptions near_options;
+  near_options.p = p;
+  ExpectationOptions mid_options;
+  mid_options.p = p_mid;
+  const std::size_t first_failure = result.mismatches.size();
+  std::size_t job = targets.size();
+  for (const Real x : targets) {
+    if (x == 0) continue;
+    const Real near = expected_detection_time(fleet, x, near_options);
+    const Real mid = expected_detection_time(fleet, x, mid_options);
+    bool lazy_converged = false;
+    const Real lazy = detail::expected_detection_time_lazy(
+        fleet, x, mid_options, &lazy_converged);
+    if (!lazy_converged) {
+      record(result, job, "mid_lazy_converged", mid, lazy);
+    } else if (!(std::fabs(mid - lazy) <= mid_options.rel_tol * lazy)) {
+      record(result, job, "mid_closed_vs_lazy", lazy, mid);
+    }
+    if (!(near > mid)) record(result, job, "increasing_in_p", mid, near);
+    ++job;
+  }
+  if (first_failure == 0 && !result.passed) {
+    result.message += " (p = " + real_str(p_mid) + " vs " + real_str(p) + ")";
+  }
   return result;
 }
 

@@ -188,8 +188,13 @@ struct DifferentialOptions {
 /// Real range before it settles, so closed_vs_lazy applies only where
 /// the lazy pass converged (rarely; on no fuzz target of seeds 1-2000);
 /// `finite` and `first_visit_bound` always apply, and the MC band never
-/// does (the sample variance diverges this close).  A failure message
-/// carries the variant's p.
+/// does (the sample variance diverges this close).  An oracle that does
+/// not lean on the closed form bounds the value from below instead: at
+/// p_mid = threshold * (1 - 1e-2) the lazy merge must settle
+/// (mid_lazy_converged) and agree with the closed form
+/// (mid_closed_vs_lazy), and since E[T(x)] strictly increases in p the
+/// near-threshold value must exceed it (increasing_in_p).  A failure
+/// message carries the p it failed at.
 [[nodiscard]] DifferentialResult diff_expectation_near_threshold(
     int n, int f, const std::vector<Real>& targets);
 

@@ -8,8 +8,16 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
+
+#include <chrono>
+#include <cstring>
+#include <functional>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -201,6 +209,142 @@ TEST(QueryClient, RejectsUnparseableRequestLinesAndBadIds) {
 
   QueryClient typed = make_client(fast_options(), {});
   EXPECT_THROW((void)typed.call(0, CrQuery{}), Error);
+}
+
+/// The spin-then-park read on a socket pair: what is already queued
+/// comes back from the spin, a silent peer times out, and a peer that
+/// closed reads as closed.
+TEST(SpinThenPark, ReportsDataTimeoutAndClose) {
+  int ends[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, ends), 0);
+  std::string out;
+  ASSERT_EQ(::send(ends[1], "ab", 2, MSG_NOSIGNAL), 2);
+  EXPECT_EQ(read_spin_then_park(ends[0], out, 1000), ReadStatus::kData);
+  EXPECT_EQ(out, "ab");
+  EXPECT_EQ(read_spin_then_park(ends[0], out, 5), ReadStatus::kTimeout);
+  ::close(ends[1]);
+  EXPECT_EQ(read_spin_then_park(ends[0], out, 1000), ReadStatus::kClosed);
+  EXPECT_EQ(out, "ab");
+  ::close(ends[0]);
+}
+
+/// Bytes written long after the spin budget ran out are still read:
+/// the reader has parked in poll() by then, and poll() wakes it.
+TEST(SpinThenPark, BytesAfterTheBudgetArriveThroughPoll) {
+  int ends[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, ends), 0);
+  std::thread late([writer = ends[1]] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    (void)::send(writer, "late", 4, MSG_NOSIGNAL);
+  });
+  std::string out;
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_EQ(read_spin_then_park(ends[0], out, 5000), ReadStatus::kData);
+  EXPECT_GE(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(20) - kReadSpinBudget);
+  EXPECT_EQ(out, "late");
+  late.join();
+  ::close(ends[0]);
+  ::close(ends[1]);
+}
+
+/// A one-connection AF_UNIX peer for SocketTransport: it accepts, reads
+/// one request line, hands the connected socket to `script`, then
+/// closes it.
+class ScriptedPeer {
+ public:
+  ScriptedPeer(const std::string& path, std::function<void(int)> script)
+      : path_(path) {
+    listener_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    sockaddr_un address{};
+    address.sun_family = AF_UNIX;
+    std::strncpy(address.sun_path, path.c_str(),
+                 sizeof(address.sun_path) - 1);
+    ::unlink(path.c_str());
+    bound_ = ::bind(listener_, reinterpret_cast<const sockaddr*>(&address),
+                    sizeof address) == 0 &&
+             ::listen(listener_, 1) == 0;
+    if (!bound_) return;
+    thread_ = std::thread([this, script = std::move(script)] {
+      const int fd = ::accept(listener_, nullptr, nullptr);
+      if (fd < 0) return;
+      char byte = 0;
+      while (::read(fd, &byte, 1) == 1 && byte != '\n') {
+      }
+      script(fd);
+      ::close(fd);
+    });
+  }
+  ~ScriptedPeer() {
+    finish();
+    ::close(listener_);
+    ::unlink(path_.c_str());
+  }
+  [[nodiscard]] bool bound() const { return bound_; }
+  /// Wait until the script has run and the connection is closed.
+  void finish() {
+    if (thread_.joinable()) thread_.join();
+  }
+
+ private:
+  std::string path_;
+  int listener_ = -1;
+  bool bound_ = false;
+  std::thread thread_;
+};
+
+TEST(SocketTransport, ReplyAfterTheSpinBudgetIsStillRead) {
+  const std::string path = "/tmp/ls_client_late_" +
+                           std::to_string(::getpid()) + ".sock";
+  const std::string reply = R"({"id":1,"ok":true})";
+  ScriptedPeer peer(path, [&reply](const int fd) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const std::string frame = reply + "\n";
+    (void)::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL);
+  });
+  ASSERT_TRUE(peer.bound()) << path;
+  ClientOptions options;
+  options.socket_path = path;
+  options.max_attempts = 1;
+  QueryClient client(options);
+  const ClientResult result = client.call_line(R"({"id": 1, "op": "cr"})");
+  ASSERT_TRUE(result.ok) << result.error;
+  EXPECT_EQ(result.response, reply);
+  EXPECT_EQ(result.attempts, 1);
+}
+
+TEST(SocketTransport, PeerClosingDuringTheSpinReadsAsClosed) {
+  const std::string path = "/tmp/ls_client_close_" +
+                           std::to_string(::getpid()) + ".sock";
+  // The peer closes as soon as the request is in.  Waiting for that
+  // puts the EOF on the socket before the read starts, so the spin's
+  // first recv() meets it: a closed peer is reported from the spin, not
+  // only by the poll() behind it.
+  ScriptedPeer peer(path, [](int /*fd*/) {});
+  ASSERT_TRUE(peer.bound()) << path;
+  SocketTransport transport(path);
+  ASSERT_TRUE(transport.connect());
+  ASSERT_TRUE(transport.send_bytes("{\"id\": 1, \"op\": \"cr\"}\n"));
+  peer.finish();
+  std::string out;
+  EXPECT_EQ(transport.read_some(out, 5000),
+            ClientTransport::ReadStatus::kClosed);
+  EXPECT_TRUE(out.empty()) << out;
+
+  // Through the client: one attempt, ended by the close, not the
+  // deadline.
+  ScriptedPeer closer(path, [](int /*fd*/) {});
+  ASSERT_TRUE(closer.bound()) << path;
+  ClientOptions options;
+  options.socket_path = path;
+  options.max_attempts = 1;
+  QueryClient client(options);
+  const ClientResult result = client.call_line(R"({"id": 2, "op": "cr"})");
+  EXPECT_FALSE(result.ok);
+  EXPECT_FALSE(result.timed_out) << result.error;
+  EXPECT_NE(result.error.find("connection closed before a response"),
+            std::string::npos)
+      << result.error;
 }
 
 /// The headline property, end to end: through chaotic channels at many

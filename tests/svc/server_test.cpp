@@ -16,6 +16,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -494,6 +495,77 @@ TEST(QueryServerSocket, IdleConnectionsExpireEvenWhileTrickling) {
   server.stop();
   accept_loop.join();
   EXPECT_EQ(server.stats().idle_closed, 1u);
+}
+
+/// A peer that half-closes right after its request: the EOF lands while
+/// the server spins on the socket (svc/socket_io), so the spin must
+/// report it and the connection task must close the socket at once —
+/// not when the (here one-minute) idle deadline would have.
+TEST(QueryServerSocket, PeerCloseDuringTheSpinEndsTheConnection) {
+  const std::string path = "/tmp/ls_svc_spin_eof_" +
+                           std::to_string(::getpid()) + ".sock";
+  QueryServerOptions options;
+  options.idle_timeout_ms = 60000;
+  QueryServer server(options);
+  std::thread accept_loop([&server, &path] { server.serve(path); });
+
+  WireClient client(path);
+  ASSERT_TRUE(client.connected()) << "server never bound " << path;
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(client.send_raw(
+      R"({"id": 7, "op": "cr", "n": 3, "f": 1, "window_hi": 8})"
+      "\n"));
+  ASSERT_EQ(::shutdown(client.fd(), SHUT_WR), 0);
+  const std::vector<std::string> lines = client.read_lines_until_eof();
+  const auto closed_ms =
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count();
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_NE(lines[0].find("\"ok\":true"), std::string::npos) << lines[0];
+  EXPECT_LT(closed_ms, 5000) << "the server kept the closed peer open";
+
+  server.stop();
+  accept_loop.join();
+  EXPECT_EQ(server.stats().requests, 1u);
+  EXPECT_EQ(server.stats().idle_closed, 0u);
+}
+
+/// Slowloris against the spin: a byte every few microseconds, never a
+/// newline, so most bytes arrive while the server is still spinning on
+/// the socket.  They are appended but are not progress, so the peer
+/// expires at idle_timeout_ms with the structured timeout — not at the
+/// frame bound, which is where it would end if stray bytes reset the
+/// clock.
+TEST(QueryServerSocket, BytesDuringTheSpinDoNotResetTheIdleClock) {
+  const std::string path = "/tmp/ls_svc_spin_idle_" +
+                           std::to_string(::getpid()) + ".sock";
+  QueryServerOptions options;
+  options.idle_timeout_ms = 50;
+  QueryServer server(options);
+  std::thread accept_loop([&server, &path] { server.serve(path); });
+
+  WireClient client(path);
+  ASSERT_TRUE(client.connected()) << "server never bound " << path;
+  std::atomic<bool> expired{false};
+  std::thread trickle([&client, &expired] {
+    while (!expired.load(std::memory_order_relaxed)) {
+      if (::send(client.fd(), "x", 1, MSG_NOSIGNAL) != 1) break;
+      std::this_thread::sleep_for(std::chrono::microseconds(10));
+    }
+  });
+  const std::vector<std::string> lines = client.read_lines_until_eof();
+  expired.store(true, std::memory_order_relaxed);
+  trickle.join();
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_NE(lines[0].find("timeout: connection idle beyond 50 ms"),
+            std::string::npos)
+      << lines[0];
+
+  server.stop();
+  accept_loop.join();
+  EXPECT_EQ(server.stats().idle_closed, 1u);
+  EXPECT_EQ(server.stats().frame_rejected, 0u);
 }
 
 TEST(QueryServerSocket, GarbageBytesKeepTheConnectionAndServerAlive) {

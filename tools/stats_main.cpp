@@ -28,6 +28,7 @@
 #include "adversary/placements.hpp"
 #include "core/algorithm.hpp"
 #include "core/lower_bound.hpp"
+#include "dense_grid.hpp"
 #include "eval/batch.hpp"
 #include "eval/cr_eval.hpp"
 #include "eval/expectation.hpp"
@@ -48,19 +49,11 @@ namespace {
 
 using namespace linesearch;
 
-/// The dense A(7, 4) grid bench_perf's BM_DenseCrSweep* time: every
-/// fault budget crossed with three windows.
+/// The dense A(7, 4) sweep bench_perf's BM_DenseCrSweep* time
+/// (tools/dense_grid.hpp).
 void run_dense(const int threads) {
-  const ProportionalAlgorithm algo(7, 4);
-  const Fleet fleet = algo.build_fleet(2000);
-  std::vector<CrBatchJob> jobs;
-  for (int f = 0; f < static_cast<int>(fleet.size()); ++f) {
-    for (const Real window : {12.0L, 24.0L, 48.0L}) {
-      jobs.push_back(
-          {&fleet, f, {.window_hi = window, .interior_samples = 16}});
-    }
-  }
-  (void)measure_cr_batch(jobs, {.threads = threads});
+  const Fleet fleet = tools::dense_sweep_fleet();
+  (void)measure_cr_batch(tools::dense_cr_jobs(fleet), {.threads = threads});
 }
 
 /// Unbounded analytic A(12, 11) swept over 2^20 — every visit query and
