@@ -2,7 +2,10 @@
 
 #include <charconv>
 #include <cmath>
+#include <cstring>
 #include <iterator>
+#include <limits>
+#include <string_view>
 #include <utility>
 
 #include "core/algorithm.hpp"
@@ -11,6 +14,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/faults.hpp"
+#include "svc/server.hpp"
 #include "util/csv.hpp"
 #include "util/error.hpp"
 
@@ -72,18 +76,64 @@ CrEvalOptions eval_options_of(const CrQuery& query,
 /// in a crash result is then attributable to the crashes themselves).
 Real crash_extent(const CrQuery& query) { return 4 * query.window_hi; }
 
+/// Bytes of a Real that carry its value: the 80-bit extended format
+/// keeps 10 in a wider slot whose padding bytes are unspecified.
+constexpr std::size_t kRealBytes =
+    std::numeric_limits<Real>::digits == 64 ? 10 : sizeof(Real);
+
+void append_int(std::string& key, const int value) {
+  char bytes[sizeof value];
+  std::memcpy(bytes, &value, sizeof value);
+  key.append(bytes, sizeof value);
+}
+
+void append_real(std::string& key, const Real value) {
+  char bytes[sizeof value];
+  std::memcpy(bytes, &value, sizeof value);
+  key.append(bytes, kRealBytes);
+}
+
+int take_int(std::string_view& key) {
+  int value = 0;
+  std::memcpy(&value, key.data(), sizeof value);
+  key.remove_prefix(sizeof value);
+  return value;
+}
+
+Real take_real(std::string_view& key) {
+  Real value = 0;
+  std::memcpy(&value, key.data(), kRealBytes);
+  key.remove_prefix(kRealBytes);
+  return value;
+}
+
+/// The canonical query a binary_query_key spells (the key is lossless).
+CrQuery query_of_binary_key(std::string_view key) {
+  CrQuery query;
+  query.regime = static_cast<FaultRegime>(key.front());
+  key.remove_prefix(1);
+  query.n = take_int(key);
+  query.f = take_int(key);
+  query.interior_samples = take_int(key);
+  query.beta = take_real(key);
+  query.window_lo = take_real(key);
+  query.window_hi = take_real(key);
+  query.fault_p = take_real(key);
+  while (!key.empty()) query.crash_times.push_back(take_real(key));
+  return query;
+}
+
 /// The backend registry key: which immutable Fleet this query evaluates
 /// against.  kNone and kByzantine share the unbounded analytic backend
 /// of their (strategy, n, f, beta); kCrash needs the dense build at the
 /// window's extent (truncation interpolates real waypoints).
 std::string backend_key(const CrQuery& canonical) {
-  std::string key = canonical.regime == FaultRegime::kCrash ? "dense|"
-                                                            : "analytic|";
-  key += std::to_string(canonical.n) + '|' + std::to_string(canonical.f) +
-         '|' + encode_real_field(canonical.beta);
-  if (canonical.regime == FaultRegime::kCrash) {
-    key += '|' + encode_real_field(crash_extent(canonical));
-  }
+  const bool dense = canonical.regime == FaultRegime::kCrash;
+  std::string key(1, dense ? 'd' : 'a');
+  append_int(key, canonical.n);
+  append_int(key, canonical.f);
+  append_real(key, canonical.beta);
+  if (dense) append_real(key, crash_extent(canonical));
   return key;
 }
 
@@ -284,6 +334,22 @@ std::string query_key(const CrQuery& query) {
   return key;
 }
 
+std::string binary_query_key(const CrQuery& query) {
+  std::string key;
+  key.reserve(1 + 3 * sizeof(int) +
+              (4 + query.crash_times.size()) * kRealBytes);
+  key += static_cast<char>(query.regime);
+  append_int(key, query.n);
+  append_int(key, query.f);
+  append_int(key, query.interior_samples);
+  append_real(key, query.beta);
+  append_real(key, query.window_lo);
+  append_real(key, query.window_hi);
+  append_real(key, query.fault_p);
+  for (const Real t : query.crash_times) append_real(key, t);
+  return key;
+}
+
 std::size_t query_shard(const CrQuery& query,
                         const std::size_t shard_count) {
   expects(shard_count > 0, "svc: shard_count must be positive");
@@ -395,7 +461,7 @@ QueryResult QueryService::compute(const CrQuery& canonical) {
 }
 
 bool QueryService::cache_lookup(const std::size_t shard_index,
-                                const std::string& key, QueryResult& out) {
+                                const std::string& key, Answer& out) {
   Shard& shard = *shards_[shard_index];
   const std::lock_guard<std::mutex> lock(shard.mutex);
   const auto it = shard.by_key.find(key);
@@ -407,8 +473,7 @@ bool QueryService::cache_lookup(const std::size_t shard_index,
 }
 
 void QueryService::cache_store(const std::size_t shard_index,
-                               const std::string& key,
-                               const QueryResult& result) {
+                               const std::string& key, const Answer& answer) {
   Shard& shard = *shards_[shard_index];
   const std::lock_guard<std::mutex> lock(shard.mutex);
   const auto it = shard.by_key.find(key);
@@ -423,19 +488,19 @@ void QueryService::cache_store(const std::size_t shard_index,
     shard.order.pop_back();
     bump(tallies_.evictions);
   }
-  shard.order.emplace_front(key, result);
+  shard.order.emplace_front(key, answer);
   shard.by_key.emplace(key, shard.order.begin());
 }
 
-QueryResult QueryService::evaluate(const CrQuery& query) {
+QueryService::Answer QueryService::answer(const CrQuery& query) {
   const CrQuery canonical = canonicalize_query(query);
-  const std::string key = query_key(canonical);
+  const std::string key = binary_query_key(canonical);
   const std::size_t shard_index =
       query_shard(canonical, options_.shard_count);
   obs::count(SvcMetrics::instance().queries);
   bump(tallies_.queries);
 
-  QueryResult cached;
+  Answer cached;
   if (options_.cache_results && cache_lookup(shard_index, key, cached)) {
     obs::count(SvcMetrics::instance().cache_hits);
     bump(tallies_.cache_hits);
@@ -462,12 +527,14 @@ QueryResult QueryService::evaluate(const CrQuery& query) {
     std::unique_lock<std::mutex> lock(flight->mutex);
     flight->done.wait(lock, [&flight] { return flight->finished; });
     if (flight->error) std::rethrow_exception(flight->error);
-    return flight->result;
+    return flight->answer;
   }
 
-  QueryResult result;
+  Answer fresh;
   try {
-    result = compute(canonical);
+    fresh.result = compute(canonical);
+    fresh.tail = std::make_shared<const std::string>(
+        render_response_tail(fresh.result));
   } catch (...) {
     if (flight != nullptr) {
       {
@@ -482,18 +549,22 @@ QueryResult QueryService::evaluate(const CrQuery& query) {
     throw;
   }
 
-  if (options_.cache_results) cache_store(shard_index, key, result);
+  if (options_.cache_results) cache_store(shard_index, key, fresh);
   if (flight != nullptr) {
     {
       const std::lock_guard<std::mutex> lock(inflight_mutex_);
       inflight_.erase(key);
     }
     const std::lock_guard<std::mutex> lock(flight->mutex);
-    flight->result = result;
+    flight->answer = fresh;
     flight->finished = true;
     flight->done.notify_all();
   }
-  return result;
+  return fresh;
+}
+
+QueryResult QueryService::evaluate(const CrQuery& query) {
+  return answer(query).result;
 }
 
 QueryService::Stats QueryService::stats() const {
@@ -517,63 +588,92 @@ std::size_t QueryService::backend_count() const {
 
 namespace {
 
-/// Recompute a cached key's shard from its embedded regime pair: keys
-/// spell "regime|n|f|..." (query_key), so the pair survives a snapshot
-/// round trip under any shard_count.
-std::size_t shard_of_key(const std::string& key,
-                         const std::size_t shard_count) {
-  const std::size_t first = key.find('|');
-  const std::size_t second =
-      first == std::string::npos ? first : key.find('|', first + 1);
-  const std::size_t third =
-      second == std::string::npos ? second : key.find('|', second + 1);
-  expects(third != std::string::npos, [&key] {
-    return "svc: cache key missing regime-pair fields: " + key;
+/// The canonical query a snapshot's decimal key spells: the inverse of
+/// query_key, checked in full — every field parses, the query passes
+/// canonicalize_query, and query_key spells it back byte for byte.
+CrQuery query_of_key(const std::string& key) {
+  std::vector<std::string> fields;
+  for (std::size_t start = 0;;) {
+    const std::size_t bar = key.find('|', start);
+    fields.push_back(key.substr(start, bar - start));
+    if (bar == std::string::npos) break;
+    start = bar + 1;
+  }
+  expects(fields.size() >= 8, [&key] {
+    return "svc: cache key has too few fields: " + key;
   });
-  int n = 0;
-  int f = 0;
-  const char* n_begin = key.data() + first + 1;
-  const char* n_end = key.data() + second;
-  const char* f_begin = key.data() + second + 1;
-  const char* f_end = key.data() + third;
-  const auto n_parsed = std::from_chars(n_begin, n_end, n);
-  const auto f_parsed = std::from_chars(f_begin, f_end, f);
-  expects(n_parsed.ec == std::errc{} && n_parsed.ptr == n_end &&
-              f_parsed.ec == std::errc{} && f_parsed.ptr == f_end &&
-              n > 0 && f > 0,
-          [&key] {
-            return "svc: cache key regime pair does not parse: " + key;
-          });
-  const std::size_t pair = static_cast<std::size_t>(n) * 31u +
-                           static_cast<std::size_t>(f);
-  return pair % shard_count;
+  const auto integer = [&key](const std::string& field) {
+    int value = 0;
+    const char* end = field.data() + field.size();
+    const auto parsed = std::from_chars(field.data(), end, value);
+    expects(parsed.ec == std::errc{} && parsed.ptr == end, [&key] {
+      return "svc: cache key integer field does not parse: " + key;
+    });
+    return value;
+  };
+  CrQuery query;
+  query.regime = fault_regime_from_name(fields[0]);
+  query.n = integer(fields[1]);
+  query.f = integer(fields[2]);
+  query.beta = parse_real_field(fields[3]);
+  query.window_lo = parse_real_field(fields[4]);
+  query.window_hi = parse_real_field(fields[5]);
+  query.interior_samples = integer(fields[6]);
+  query.fault_p = parse_real_field(fields[7]);
+  for (std::size_t i = 8; i < fields.size(); ++i) {
+    query.crash_times.push_back(parse_real_field(fields[i]));
+  }
+  const CrQuery canonical = canonicalize_query(query);
+  expects(query_key(canonical) == key, [&key] {
+    return "svc: cache key is not a canonical query's key: " + key;
+  });
+  return canonical;
 }
 
 }  // namespace
 
 std::vector<QueryService::CacheEntry> QueryService::export_cache() const {
-  std::vector<CacheEntry> entries;
+  // Copy under the shard locks, spell the decimal keys after.
+  std::vector<std::pair<std::string, QueryResult>> held;
   for (const std::unique_ptr<Shard>& shard : shards_) {
     const std::lock_guard<std::mutex> lock(shard->mutex);
-    for (const auto& [key, result] : shard->order) {
-      entries.push_back(CacheEntry{key, result});
+    for (const auto& [key, answer] : shard->order) {
+      held.emplace_back(key, answer.result);
     }
+  }
+  std::vector<CacheEntry> entries;
+  entries.reserve(held.size());
+  for (const auto& [key, result] : held) {
+    entries.push_back(
+        CacheEntry{query_key(query_of_binary_key(key)), result});
   }
   return entries;
 }
 
 std::size_t QueryService::import_cache(const std::vector<CacheEntry>& entries) {
-  // Validate every key BEFORE touching the cache: a rejected import
-  // leaves the service exactly as it was (cold, not half-warm).
-  std::vector<std::size_t> shards;
-  shards.reserve(entries.size());
+  // Validate every key and render every tail BEFORE touching the cache:
+  // a rejected import leaves the service exactly as it was (cold, not
+  // half-warm).
+  struct Restored {
+    std::string key;
+    std::size_t shard;
+    Answer answer;
+  };
+  std::vector<Restored> restored;
+  restored.reserve(entries.size());
   for (const CacheEntry& entry : entries) {
-    shards.push_back(shard_of_key(entry.key, options_.shard_count));
+    const CrQuery canonical = query_of_key(entry.key);
+    restored.push_back(Restored{
+        .key = binary_query_key(canonical),
+        .shard = query_shard(canonical, options_.shard_count),
+        .answer = {.result = entry.result,
+                   .tail = std::make_shared<const std::string>(
+                       render_response_tail(entry.result))}});
   }
   // LRU-first replay: cache_store fronts each key, so the exported
   // recency order (MRU first) is restored by inserting in reverse.
-  for (std::size_t i = entries.size(); i-- > 0;) {
-    cache_store(shards[i], entries[i].key, entries[i].result);
+  for (std::size_t i = restored.size(); i-- > 0;) {
+    cache_store(restored[i].shard, restored[i].key, restored[i].answer);
   }
   return entries.size();
 }

@@ -19,7 +19,8 @@
 //     takes the turns' detection times from the profile;
 //   * an LRU of hot results sharded by regime pair (n, f), so a sweep
 //     over the 41-pair grid keeps every pair's hot window resident
-//     independently;
+//     independently.  Entries are keyed by the binary query key and
+//     keep their rendered response tail, so a hit formats no number;
 //   * coalescing of identical in-flight queries: the first caller
 //     computes, everyone else waits for that one result.
 // The determinism contract (docs/service.md): for any cache
@@ -91,10 +92,17 @@ struct CrQuery {
 /// canonicalizes first; keys are computed only on canonical queries.
 [[nodiscard]] CrQuery canonicalize_query(CrQuery query);
 
-/// Deterministic cache/coalescing key of a CANONICAL query (exact text
-/// encoding of every field through the shared Real codec — two queries
-/// share a key iff every field is value-identical).
+/// Decimal key of a CANONICAL query (exact text encoding of every field
+/// through the shared Real codec — two queries share a key iff every
+/// field is value-identical).  The snapshot's spelling of a cache entry.
 [[nodiscard]] std::string query_key(const CrQuery& query);
+
+/// Binary key of a CANONICAL query, which the result LRU and the
+/// in-flight map are keyed by: the regime, n, f and interior_samples,
+/// then the significant bytes of beta, window_lo, window_hi, fault_p and
+/// of each crash time.  Lossless, and equal for two queries iff their
+/// query_keys are equal (so -0 and +0 stay distinct, as there).
+[[nodiscard]] std::string binary_query_key(const CrQuery& query);
 
 /// The shard a canonical query's results live in: regime pairs (n, f)
 /// spread across `shard_count` shards, so grid sweeps keep each pair's
@@ -145,9 +153,22 @@ class QueryService {
  public:
   explicit QueryService(QueryServiceOptions options = {});
 
+  /// One answer as the service holds it: the result and its response
+  /// tail, every byte render_response puts after `{"id":N`.  A miss
+  /// renders the tail once; the cache entry, the in-flight leader and
+  /// every hit share that one string.
+  struct Answer {
+    QueryResult result;
+    std::shared_ptr<const std::string> tail;
+  };
+
   /// Evaluate one query through the cache/coalescing layers.  The result
   /// is value_identical to evaluate_query_direct(canonicalize_query(q))
-  /// regardless of cache state, shard layout, or concurrency.
+  /// regardless of cache state, shard layout, or concurrency, and the
+  /// tail is render_response_tail of that result.
+  [[nodiscard]] Answer answer(const CrQuery& query);
+
+  /// answer(query).result.
   [[nodiscard]] QueryResult evaluate(const CrQuery& query);
 
   /// Monotonic behaviour counters (also exported as svc.* obs metrics),
@@ -172,9 +193,10 @@ class QueryService {
   void clear();
 
   /// One exported result-cache entry (svc/snapshot's unit of warm
-  /// restart).  The full query_key travels with the result; the key
-  /// embeds the regime pair (fields `n|f`), so a restoring service
-  /// recomputes shard placement under ANY shard_count.
+  /// restart).  The decimal query_key travels with the result; it
+  /// spells the whole canonical query, so a restoring service recomputes
+  /// the binary key, the shard placement under ANY shard_count and the
+  /// response tail.
   struct CacheEntry {
     std::string key;
     QueryResult result;
@@ -188,8 +210,8 @@ class QueryService {
   /// keep their first value — the determinism contract makes them
   /// value-identical anyway).  Entries are replayed LRU-first so the
   /// exported recency order survives the round trip.  Returns the
-  /// number of entries stored.  Throws PreconditionError on a key whose
-  /// regime-pair fields do not parse.
+  /// number of entries stored.  Throws PreconditionError on a key that
+  /// is not the query_key of a canonical query.
   std::size_t import_cache(const std::vector<CacheEntry>& entries);
 
   /// Total results currently cached across all shards.
@@ -198,13 +220,13 @@ class QueryService {
   const QueryServiceOptions& options() const { return options_; }
 
  private:
+  /// Result LRU shard, keyed by binary_query_key.
   struct Shard {
     std::mutex mutex;
     /// Most-recently-used at the front.
-    std::list<std::pair<std::string, QueryResult>> order;
-    std::unordered_map<
-        std::string,
-        std::list<std::pair<std::string, QueryResult>>::iterator>
+    std::list<std::pair<std::string, Answer>> order;
+    std::unordered_map<std::string,
+                       std::list<std::pair<std::string, Answer>>::iterator>
         by_key;
   };
 
@@ -216,7 +238,7 @@ class QueryService {
     /// The leader's exception, rethrown to every follower: the same
     /// object, so what() and Error::message() match the leader's.
     std::exception_ptr error;
-    QueryResult result;
+    Answer answer;
   };
 
   /// A registered backend and its anchor-profile snapshots at budgets
@@ -243,10 +265,9 @@ class QueryService {
                        std::shared_ptr<const kernels::AnchorProfile> grown);
   [[nodiscard]] QueryResult compute(const CrQuery& canonical);
   [[nodiscard]] bool cache_lookup(std::size_t shard_index,
-                                  const std::string& key,
-                                  QueryResult& out);
+                                  const std::string& key, Answer& out);
   void cache_store(std::size_t shard_index, const std::string& key,
-                   const QueryResult& result);
+                   const Answer& answer);
 
   QueryServiceOptions options_;
   std::vector<std::unique_ptr<Shard>> shards_;

@@ -139,15 +139,12 @@ WireRequest parse_request(const std::string& line) {
   return request;
 }
 
-// The two renderers spell out what a compact JsonWriter emits for these
+// The renderers spell out what a compact JsonWriter emits for these
 // fields, straight into one string: the same bytes, without a stream.
-// The room reserved covers the framing newline write_line appends.
 
-std::string render_response(const long long id, const QueryResult& result) {
+std::string render_response_tail(const QueryResult& result) {
   std::string out;
-  out.reserve(320);
-  out += "{\"id\":";
-  out += std::to_string(id);
+  out.reserve(240);
   out += ",\"ok\":true,\"feasible\":";
   out += result.feasible ? "true" : "false";
   out += ",\"cr\":";
@@ -164,6 +161,25 @@ std::string render_response(const long long id, const QueryResult& result) {
   out += std::to_string(result.undetected_probes);
   out += '}';
   return out;
+}
+
+namespace {
+
+/// `{"id":<id>` then `tail`.  The room reserved covers the framing
+/// newline write_line appends.
+std::string with_id(const long long id, const std::string& tail) {
+  std::string out;
+  out.reserve(tail.size() + 32);
+  out += "{\"id\":";
+  out += std::to_string(id);
+  out += tail;
+  return out;
+}
+
+}  // namespace
+
+std::string render_response(const long long id, const QueryResult& result) {
+  return with_id(id, render_response_tail(result));
 }
 
 long long peek_request_id(const std::string& line) noexcept {
@@ -235,7 +251,9 @@ std::string QueryServer::handle_line(const std::string& line) {
   try {
     const WireRequest request = parse_request(line);
     id = request.id;
-    response = render_response(id, service_.evaluate(request.query));
+    // The cached tail is render_response_tail of the answered result,
+    // so this is render_response's bytes without formatting a number.
+    response = with_id(id, *service_.answer(request.query).tail);
   } catch (const std::exception& failure) {
     obs::count(WireMetrics::instance().errors);
     bump(tallies_.errors);

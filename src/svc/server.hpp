@@ -168,10 +168,12 @@ struct WireRequest {
 [[nodiscard]] WireRequest parse_request(const std::string& line);
 
 /// Render the success / error response lines (compact JSON, no trailing
-/// newline).  These two functions define the byte format the golden
-/// fixtures pin.
+/// newline).  These functions define the byte format the golden
+/// fixtures pin.  A success response is `{"id":<id>` followed by
+/// render_response_tail(result), the part QueryService caches per entry.
 [[nodiscard]] std::string render_response(long long id,
                                           const QueryResult& result);
+[[nodiscard]] std::string render_response_tail(const QueryResult& result);
 [[nodiscard]] std::string render_error(long long id,
                                        std::string_view message);
 

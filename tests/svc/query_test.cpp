@@ -16,6 +16,7 @@
 #include "core/competitive.hpp"
 #include "eval/validation.hpp"
 #include "obs/metrics.hpp"
+#include "svc/server.hpp"
 #include "util/error.hpp"
 #include "verify/invariants.hpp"
 
@@ -52,6 +53,8 @@ TEST(CrQueryCanonicalize, ResolvesDefaultBetaToTheOptimal) {
   explicit_beta.beta = optimal_beta(5, 2);
   EXPECT_EQ(query_key(canonical),
             query_key(canonicalize_query(explicit_beta)));
+  EXPECT_EQ(binary_query_key(canonical),
+            binary_query_key(canonicalize_query(explicit_beta)));
 }
 
 TEST(CrQueryCanonicalize, RejectsInvalidInput) {
@@ -79,18 +82,88 @@ TEST(CrQueryCanonicalize, RejectsInvalidInput) {
 }
 
 TEST(CrQueryKey, SeparatesEveryField) {
-  const std::string base = query_key(canonicalize_query(pair_query(5, 2)));
-  EXPECT_NE(base, query_key(canonicalize_query(pair_query(4, 2))));
-  EXPECT_NE(base, query_key(canonicalize_query(pair_query(5, 3))));
-  EXPECT_NE(base,
-            query_key(canonicalize_query(pair_query(5, 2, 32))));
-  CrQuery byz = pair_query(5, 2);
-  byz.regime = FaultRegime::kByzantine;
-  EXPECT_NE(base, query_key(canonicalize_query(byz)));
-  CrQuery crash = pair_query(5, 2);
+  // Each query differs from the first of its group in one field only;
+  // every binary key (and every decimal key) in the set is distinct.
+  std::vector<CrQuery> queries;
+  const auto add = [&queries](CrQuery query) {
+    queries.push_back(canonicalize_query(std::move(query)));
+  };
+  const CrQuery base = pair_query(5, 2);
+  add(base);
+  add(pair_query(4, 2));                    // n
+  add(pair_query(5, 3));                    // f
+  add(pair_query(5, 2, 32));                // window_hi
+  CrQuery changed = base;
+  changed.beta = 2.5L;
+  add(changed);
+  changed = base;
+  changed.window_lo = 2;
+  add(changed);
+  changed = base;
+  changed.interior_samples = 5;
+  add(changed);
+  changed = base;
+  changed.regime = FaultRegime::kByzantine;
+  add(changed);
+  CrQuery probabilistic = base;
+  probabilistic.regime = FaultRegime::kProbabilistic;
+  probabilistic.fault_p = 0.25L;
+  add(probabilistic);
+  probabilistic.fault_p = 0.5L;             // fault_p
+  add(probabilistic);
+  CrQuery crash = pair_query(3, 1);
   crash.regime = FaultRegime::kCrash;
-  crash.crash_times = {kInfinity, 3.0L, kInfinity, kInfinity, kInfinity};
-  EXPECT_NE(base, query_key(canonicalize_query(crash)));
+  crash.crash_times = {1.0L, 2.0L, kInfinity};
+  add(crash);
+  for (std::size_t i = 0; i < crash.crash_times.size(); ++i) {
+    CrQuery moved = crash;                  // each crash time
+    moved.crash_times[i] = 7.0L;
+    add(moved);
+  }
+  CrQuery swapped = crash;                  // the order of the times
+  std::swap(swapped.crash_times[0], swapped.crash_times[1]);
+  add(swapped);
+
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    for (std::size_t j = i + 1; j < queries.size(); ++j) {
+      EXPECT_NE(binary_query_key(queries[i]), binary_query_key(queries[j]))
+          << query_key(queries[i]) << " vs " << query_key(queries[j]);
+      EXPECT_NE(query_key(queries[i]), query_key(queries[j]));
+    }
+    EXPECT_EQ(binary_query_key(queries[i]),
+              binary_query_key(canonicalize_query(queries[i])));
+  }
+}
+
+TEST(CrQueryKey, SignedZeroStaysDistinctAsInTheDecimalKey) {
+  // The decimal key spells -0 as "-0", so a -0 fault_p or crash time is
+  // its own cache entry; the binary key keeps that split (the sign byte
+  // differs).  Both entries hold the same answer.
+  CrQuery plus = pair_query(3, 1);
+  plus.regime = FaultRegime::kProbabilistic;
+  plus.fault_p = 0.0L;
+  CrQuery minus = plus;
+  minus.fault_p = -0.0L;
+  CrQuery crash_plus = pair_query(3, 1);
+  crash_plus.regime = FaultRegime::kCrash;
+  crash_plus.crash_times = {0.0L, kInfinity, kInfinity};
+  CrQuery crash_minus = crash_plus;
+  crash_minus.crash_times[0] = -0.0L;
+  for (const auto& [a, b] : {std::pair{plus, minus},
+                             std::pair{crash_plus, crash_minus}}) {
+    const CrQuery ca = canonicalize_query(a);
+    const CrQuery cb = canonicalize_query(b);
+    EXPECT_NE(query_key(ca), query_key(cb));
+    EXPECT_NE(query_key(cb).find("|-0"), std::string::npos)
+        << query_key(cb);
+    EXPECT_NE(binary_query_key(ca), binary_query_key(cb));
+    QueryService service;
+    const QueryService::Answer first = service.answer(ca);
+    const QueryService::Answer second = service.answer(cb);
+    EXPECT_EQ(service.stats().evaluations, 2u);
+    EXPECT_TRUE(same_result(first.result, second.result));
+    EXPECT_EQ(*first.tail, *second.tail);
+  }
 }
 
 TEST(CrQueryShard, KeysByRegimePairWithinBounds) {
@@ -301,9 +374,8 @@ TEST(QueryService, CacheOnAndOffAreBitIdentical) {
 // service; every answer must be value_identical to the direct path no
 // matter who computed, who coalesced, and who hit the cache.  Run under
 // TSAN via `ctest -L svc`.
-void race_threads(const int threads, const bool cache) {
-  QueryServiceOptions options;
-  options.cache_results = cache;
+void race_threads(const int threads, const QueryServiceOptions& options) {
+  const bool cache = options.cache_results;
   QueryService service(options);
 
   // The (5, 2) windows grow its shared anchor profiles while other
@@ -329,9 +401,11 @@ void race_threads(const int threads, const bool cache) {
       }(),
   };
   std::vector<QueryResult> expected;
+  std::vector<std::string> tails;
   expected.reserve(queries.size());
   for (const CrQuery& query : queries) {
     expected.push_back(evaluate_query_direct(query));
+    tails.push_back(render_response_tail(expected.back()));
   }
 
   constexpr int kRounds = 4;
@@ -339,15 +413,17 @@ void race_threads(const int threads, const bool cache) {
   std::vector<std::thread> workers;
   workers.reserve(static_cast<std::size_t>(threads));
   for (int t = 0; t < threads; ++t) {
-    workers.emplace_back([&service, &queries, &expected, &mismatches, t] {
+    workers.emplace_back([&service, &queries, &expected, &tails,
+                          &mismatches, t] {
       for (int round = 0; round < kRounds; ++round) {
         for (std::size_t i = 0; i < queries.size(); ++i) {
           // Stagger starting points so threads collide on different
           // queries, exercising coalescing and cache paths together.
           const std::size_t j =
               (i + static_cast<std::size_t>(t)) % queries.size();
-          const QueryResult result = service.evaluate(queries[j]);
-          if (!same_result(result, expected[j])) {
+          const QueryService::Answer answer = service.answer(queries[j]);
+          if (!same_result(answer.result, expected[j]) ||
+              *answer.tail != tails[j]) {
             mismatches.fetch_add(1, std::memory_order_relaxed);
           }
         }
@@ -371,10 +447,17 @@ void race_threads(const int threads, const bool cache) {
   }
 }
 
-TEST(QueryService, OneThreadIsExact) { race_threads(1, true); }
-TEST(QueryService, TwoThreadsAreExact) { race_threads(2, true); }
-TEST(QueryService, EightThreadsAreExact) { race_threads(8, true); }
-TEST(QueryService, EightThreadsUncachedAreExact) { race_threads(8, false); }
+TEST(QueryService, OneThreadIsExact) { race_threads(1, {}); }
+TEST(QueryService, TwoThreadsAreExact) { race_threads(2, {}); }
+TEST(QueryService, EightThreadsAreExact) { race_threads(8, {}); }
+TEST(QueryService, EightThreadsUncachedAreExact) {
+  race_threads(8, {.cache_results = false});
+}
+// A 3-entry cache under 8 shared keys: every round evicts, so hits,
+// misses and coalesced followers interleave on the same keys.
+TEST(QueryService, FourThreadsHitAndMissSharedKeysExactly) {
+  race_threads(4, {.shard_count = 1, .shard_capacity = 3});
+}
 
 TEST(QueryService, CoalescingAccountsEveryCall) {
   // Sequential calls never coalesce (nothing is in flight), so the

@@ -23,11 +23,14 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <latch>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "svc/client.hpp"
+#include "svc/snapshot.hpp"
 #include "util/error.hpp"
 #include "verify/invariants.hpp"
 
@@ -217,6 +220,107 @@ TEST(SvcGoldenWire, CorpusReplayIsByteIdentical) {
   EXPECT_EQ(contents.str(), actual)
       << "wire responses diverged from the committed corpus; if the "
          "change is intended, regenerate with LS_SVC_GOLDEN_REGEN=1";
+}
+
+/// The golden requests that answer ok: (request line, canonical query,
+/// direct result).
+struct GoldenHit {
+  std::string line;
+  CrQuery query;
+  QueryResult direct;
+};
+
+std::vector<GoldenHit> golden_hits() {
+  std::vector<GoldenHit> hits;
+  for (const std::string& line : golden_requests()) {
+    try {
+      const CrQuery query = canonicalize_query(parse_request(line).query);
+      hits.push_back({line, query, evaluate_query_direct(query)});
+    } catch (const Error&) {
+      // An error line of the corpus: nothing is cached for it.
+    }
+  }
+  return hits;
+}
+
+/// Ids a hit must splice verbatim: small, past 32 bits, and negative.
+constexpr long long kHitIds[] = {1, 1LL << 40, -7};
+
+TEST(SvcHitPath, GoldenHitsSpliceEveryIdOntoTheCachedTail) {
+  const std::vector<GoldenHit> hits = golden_hits();
+  ASSERT_EQ(hits.size(), 8u);
+  for (const GoldenHit& hit : hits) {
+    QueryServer server;
+    const long long golden_id = parse_request(hit.line).id;
+    EXPECT_EQ(server.handle_line(hit.line),
+              render_response(golden_id, hit.direct));
+    for (const long long id : kHitIds) {
+      EXPECT_EQ(server.handle_line(render_request(id, hit.query)),
+                render_response(id, hit.direct))
+          << hit.line << " id=" << id;
+    }
+    const QueryService::Stats stats = server.service().stats();
+    EXPECT_EQ(stats.evaluations, 1u) << hit.line;
+    EXPECT_EQ(stats.cache_hits, std::size(kHitIds)) << hit.line;
+  }
+}
+
+TEST(SvcHitPath, CoalescedFollowersSpliceTheirOwnIds) {
+  // Four callers race each golden query into a fresh server: one leads,
+  // the others hit or follow it, and each response carries its own id.
+  // Whether a follower forms is up to the scheduler, so rounds repeat
+  // until at least one did.
+  const std::vector<GoldenHit> hits = golden_hits();
+  constexpr long long kIds[] = {1, 1LL << 40, -7, 2};
+  std::atomic<int> mismatches{0};
+  std::uint64_t coalesced = 0;
+  for (int round = 0; round < 200 && coalesced == 0; ++round) {
+    for (const GoldenHit& hit : hits) {
+      QueryServer server;
+      std::latch start(std::size(kIds));
+      std::vector<std::thread> callers;
+      for (const long long id : kIds) {
+        callers.emplace_back([&server, &start, &hit, &mismatches, id] {
+          const std::string request = render_request(id, hit.query);
+          start.arrive_and_wait();
+          if (server.handle_line(request) !=
+              render_response(id, hit.direct)) {
+            mismatches.fetch_add(1, std::memory_order_relaxed);
+          }
+        });
+      }
+      for (std::thread& caller : callers) caller.join();
+      coalesced += server.service().stats().coalesced;
+    }
+  }
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_GT(coalesced, 0u);
+}
+
+TEST(SvcHitPath, SnapshotRestoredHitsAreByteIdentical) {
+  // Export spells the binary keys as decimal query_keys; import parses
+  // them back and renders each tail, so the restored server answers the
+  // corpus from its cache with the original bytes.
+  const std::vector<std::string> requests = golden_requests();
+  QueryServer original;
+  std::vector<std::string> responses;
+  for (const std::string& request : requests) {
+    responses.push_back(original.handle_line(request));
+  }
+  const std::string path =
+      "/tmp/ls_svc_hit_snapshot_" + std::to_string(::getpid()) + ".snap";
+  (void)save_snapshot(original.service(), path);
+  QueryServer restored;
+  const SnapshotLoadReport loaded = load_snapshot(restored.service(), path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(loaded.ok) << loaded.error;
+  EXPECT_EQ(loaded.entries, golden_hits().size());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    EXPECT_EQ(restored.handle_line(requests[i]), responses[i])
+        << requests[i];
+  }
+  EXPECT_EQ(restored.service().stats().evaluations, 0u);
+  EXPECT_EQ(restored.service().stats().cache_hits, loaded.entries);
 }
 
 /// Minimal blocking NDJSON client for the socket tests.

@@ -225,6 +225,37 @@ TEST(Snapshot, ImportRejectsMalformedKeysWithoutPartialState) {
   EXPECT_EQ(service.cached_count(), 1u);
 }
 
+TEST(Snapshot, ImportChecksTheWholeKeyNotOnlyTheRegimePair) {
+  // A key imports only when it is the query_key of a canonical query:
+  // its (n, f) parsing is not enough.
+  const std::string good = query_key(canonicalize_query(make_query(3, 1, 8)));
+  QueryService::CacheEntry entry;
+  entry.result.cr = 9;
+  const auto rejects = [&entry](const std::string& key) {
+    QueryService service;
+    entry.key = key;
+    EXPECT_THROW((void)service.import_cache({entry}), PreconditionError)
+        << key;
+    EXPECT_EQ(service.cached_count(), 0u) << key;
+  };
+  std::string outside = good;
+  outside.replace(outside.find("|3|1|"), 5, "|4|1|");  // n >= 2f + 2
+  rejects(outside);
+  rejects(good.substr(0, good.rfind('|')));              // field missing
+  rejects(good + "|2");                 // a crash time off the crash regime
+  std::string respelled = good;
+  respelled.replace(respelled.find("|8|"), 3, "|8.0|");  // same value
+  rejects(respelled);
+  std::string unknown = good;
+  unknown.replace(0, unknown.find('|'), "lying");
+  rejects(unknown);
+
+  QueryService service;
+  entry.key = good;
+  EXPECT_EQ(service.import_cache({entry}), 1u);
+  EXPECT_EQ(service.export_cache().front().key, good);
+}
+
 TEST(Snapshot, SaveIsAtomicNoTmpDebrisSurvives) {
   QueryService service;
   warm(service);
