@@ -67,7 +67,50 @@ void compare_results(DifferentialResult& out, const std::size_t job,
   }
 }
 
+/// Compare two robots' waypoint lists entry by entry, bitwise, over the
+/// prefix both hold.
+void compare_waypoints(DifferentialResult& out, const std::size_t job,
+                       const std::vector<Waypoint>& lhs,
+                       const std::vector<Waypoint>& rhs) {
+  for (std::size_t w = 0; w < std::min(lhs.size(), rhs.size()); ++w) {
+    if (!value_identical(lhs[w].time, rhs[w].time)) {
+      record(out, job, "waypoint[" + std::to_string(w) + "].time",
+             lhs[w].time, rhs[w].time);
+    }
+    if (!value_identical(lhs[w].position, rhs[w].position)) {
+      record(out, job, "waypoint[" + std::to_string(w) + "].position",
+             lhs[w].position, rhs[w].position);
+    }
+  }
+}
+
+/// Count the mismatches past the first one into the message.
+void note_more_mismatches(DifferentialResult& result) {
+  if (!result.passed && result.mismatches.size() > 1) {
+    result.message += " (+" +
+                      std::to_string(result.mismatches.size() - 1) +
+                      " more mismatches)";
+  }
+}
+
 }  // namespace
+
+Fleet execute_crash_schedule(const int n, const int f, const Real extent,
+                             const std::vector<Real>& crash_times) {
+  std::vector<FaultSpec> plan;
+  plan.reserve(crash_times.size());
+  for (const Real t : crash_times) {
+    plan.push_back(std::isfinite(t) ? FaultSpec::crash_at(t)
+                                    : FaultSpec::none());
+  }
+  std::vector<ControllerPtr> team;
+  team.reserve(static_cast<std::size_t>(n));
+  for (int robot = 0; robot < n; ++robot) {
+    team.push_back(
+        std::make_unique<ProportionalController>(n, f, robot, extent));
+  }
+  return World().execute_team(team, FaultInjector(std::move(plan)));
+}
 
 DifferentialResult diff_batch_threads(const std::vector<CrBatchJob>& jobs,
                                       const DifferentialOptions& options) {
@@ -78,7 +121,7 @@ DifferentialResult diff_batch_threads(const std::vector<CrBatchJob>& jobs,
   const std::vector<CrEvalResult> reference =
       measure_cr_batch(jobs, {.threads = options.thread_counts.front()});
   // The batch must also be indistinguishable from the scalar reference
-  // scan over direct Fleet queries (the oracle diff_scalar_vs_simd uses),
+  // scan over direct Fleet queries (the oracle diff_kernel_vs_scalar uses),
   // a path that shares none of the kernel code the batch runs.
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     const CrBatchJob& job = jobs[i];
@@ -95,11 +138,7 @@ DifferentialResult diff_batch_threads(const std::vector<CrBatchJob>& jobs,
       compare_results(result, i, reference[i], candidate[i]);
     }
   }
-  if (!result.passed && result.mismatches.size() > 1) {
-    result.message += " (+" +
-                      std::to_string(result.mismatches.size() - 1) +
-                      " more mismatches)";
-  }
+  note_more_mismatches(result);
   return result;
 }
 
@@ -205,20 +244,8 @@ DifferentialResult diff_dense_vs_analytic(const SearchStrategy& strategy,
   // bit for bit on the prefix both backends materialize.
   constexpr std::size_t kPrefix = 64;
   for (RobotId id = 0; id < dense.size(); ++id) {
-    const std::vector<Waypoint> lhs = dense.robot(id).waypoint_prefix(kPrefix);
-    const std::vector<Waypoint> rhs =
-        analytic.robot(id).waypoint_prefix(kPrefix);
-    const std::size_t shared = std::min(lhs.size(), rhs.size());
-    for (std::size_t w = 0; w < shared; ++w) {
-      if (!value_identical(lhs[w].time, rhs[w].time)) {
-        record(result, id, "waypoint[" + std::to_string(w) + "].time",
-               lhs[w].time, rhs[w].time);
-      }
-      if (!value_identical(lhs[w].position, rhs[w].position)) {
-        record(result, id, "waypoint[" + std::to_string(w) + "].position",
-               lhs[w].position, rhs[w].position);
-      }
-    }
+    compare_waypoints(result, id, dense.robot(id).waypoint_prefix(kPrefix),
+                      analytic.robot(id).waypoint_prefix(kPrefix));
   }
 
   // (b) The evaluator must not be able to tell the backends apart.
@@ -237,25 +264,10 @@ DifferentialResult diff_crash_injected(const int n, const int f,
   expects(static_cast<int>(crash_times.size()) == n,
           "diff_crash_injected: crash schedule size must match the fleet");
 
-  const auto team = [n, f, extent]() {
-    std::vector<ControllerPtr> controllers;
-    controllers.reserve(static_cast<std::size_t>(n));
-    for (int robot = 0; robot < n; ++robot) {
-      controllers.push_back(
-          std::make_unique<ProportionalController>(n, f, robot, extent));
-    }
-    return controllers;
-  };
-  std::vector<FaultSpec> plan;
-  plan.reserve(crash_times.size());
-  for (const Real t : crash_times) {
-    plan.push_back(std::isfinite(t) ? FaultSpec::crash_at(t)
-                                    : FaultSpec::none());
-  }
-  const Fleet injected =
-      World().execute_team(team(), FaultInjector(std::move(plan)));
+  const Fleet injected = execute_crash_schedule(n, f, extent, crash_times);
   const Fleet truncated =
-      truncate_at_crashes(World().execute_team(team()), crash_times);
+      truncate_at_crashes(run_proportional_controllers(n, f, extent),
+                          crash_times);
 
   // (a) The injected run must equal the analytic truncation waypoint by
   // waypoint (World's mid-leg cut uses the same interpolation
@@ -268,16 +280,7 @@ DifferentialResult diff_crash_injected(const int n, const int f,
              static_cast<Real>(rhs.size()));
       continue;
     }
-    for (std::size_t w = 0; w < lhs.size(); ++w) {
-      if (!value_identical(lhs[w].time, rhs[w].time)) {
-        record(result, id, "waypoint[" + std::to_string(w) + "].time",
-               lhs[w].time, rhs[w].time);
-      }
-      if (!value_identical(lhs[w].position, rhs[w].position)) {
-        record(result, id, "waypoint[" + std::to_string(w) + "].position",
-               lhs[w].position, rhs[w].position);
-      }
-    }
+    compare_waypoints(result, id, lhs, rhs);
   }
 
   // (b) Nor may the evaluator tell them apart (a crashed fleet can leave
@@ -300,13 +303,7 @@ DifferentialResult diff_byzantine(const int n, const int f, const Real extent,
   expects(plan.size() == static_cast<std::size_t>(n),
           "diff_byzantine: lie plan size must match the fleet");
 
-  std::vector<ControllerPtr> team;
-  team.reserve(static_cast<std::size_t>(n));
-  for (int robot = 0; robot < n; ++robot) {
-    team.push_back(
-        std::make_unique<ProportionalController>(n, f, robot, extent));
-  }
-  const Fleet injected = World().execute_team(team);
+  const Fleet injected = run_proportional_controllers(n, f, extent);
 
   const auto confirm_at = [](const ArbitrationReport& report, const Real x) {
     for (const ClaimVerdict& verdict : report.verdicts) {
@@ -372,60 +369,6 @@ DifferentialResult diff_byzantine(const int n, const int f, const Real extent,
   return result;
 }
 
-DifferentialResult diff_server_vs_library(const svc::CrQuery& query) {
-  DifferentialResult result;
-  result.name = "server_vs_library";
-  try {
-    const svc::QueryResult direct = svc::evaluate_query_direct(query);
-
-    // Render the wire request exactly as an external client would.
-    const std::string request = svc::render_request(1, query);
-
-    svc::QueryServer server;
-    const std::string cold = server.handle_line(request);
-    const std::string warm = server.handle_line(request);
-    if (warm != cold) {
-      result.passed = false;
-      result.message =
-          "warm response bytes differ from cold: " + warm + " vs " + cold;
-      return result;
-    }
-
-    const JsonValue doc = parse_json(cold);
-    if (!doc.at("ok").as_bool()) {
-      result.passed = false;
-      result.message = "server error: " + doc.at("error").as_string();
-      return result;
-    }
-    if (doc.at("feasible").as_bool() != direct.feasible) {
-      record(result, 0, "feasible", direct.feasible ? Real{1} : Real{0},
-             doc.at("feasible").as_bool() ? Real{1} : Real{0});
-    }
-    for (const char* field : {"cr", "argmax", "cr_positive", "cr_negative"}) {
-      const Real lhs = field == std::string("cr")            ? direct.cr
-                       : field == std::string("argmax")      ? direct.argmax
-                       : field == std::string("cr_positive")
-                           ? direct.cr_positive
-                           : direct.cr_negative;
-      const Real rhs = doc.at(field).as_real();
-      if (!value_identical(lhs, rhs)) record(result, 0, field, lhs, rhs);
-    }
-    if (doc.at("probes").as_int() != direct.probes) {
-      record(result, 0, "probes", static_cast<Real>(direct.probes),
-             static_cast<Real>(doc.at("probes").as_int()));
-    }
-    if (doc.at("undetected_probes").as_int() != direct.undetected_probes) {
-      record(result, 0, "undetected_probes",
-             static_cast<Real>(direct.undetected_probes),
-             static_cast<Real>(doc.at("undetected_probes").as_int()));
-    }
-  } catch (const Error& error) {
-    result.passed = false;
-    result.message = error.what();
-  }
-  return result;
-}
-
 DifferentialResult diff_chaos_vs_library(const svc::CrQuery& query,
                                          const std::uint64_t chaos_seed,
                                          const int fault_cap) {
@@ -454,6 +397,7 @@ DifferentialResult diff_chaos_vs_library(const svc::CrQuery& query,
 
     // Three calls back to back: the first races the cold cache, the
     // rest the warm one — retries must replay byte-identically in both.
+    std::string first;
     for (long long id = 1; id <= 3; ++id) {
       const std::string expected = svc::render_response(id, direct);
       const svc::ClientResult call = client.call(id, query);
@@ -471,7 +415,26 @@ DifferentialResult diff_chaos_vs_library(const svc::CrQuery& query,
                          " want " + expected;
         return result;
       }
+      if (id == 1) first = call.response;
     }
+
+    // Equal bytes only prove both sides render alike.  Parse the first
+    // answer back: every QueryResult field must be value_identical to
+    // the library's, so a lossy codec cannot hide behind one renderer.
+    const JsonValue doc = parse_json(first);
+    const auto check = [&result](const char* field, const Real want,
+                                 const Real got) {
+      if (!value_identical(want, got)) record(result, 0, field, want, got);
+    };
+    check("feasible", direct.feasible ? 1 : 0,
+          doc.at("feasible").as_bool() ? 1 : 0);
+    check("cr", direct.cr, doc.at("cr").as_real());
+    check("argmax", direct.argmax, doc.at("argmax").as_real());
+    check("cr_positive", direct.cr_positive, doc.at("cr_positive").as_real());
+    check("cr_negative", direct.cr_negative, doc.at("cr_negative").as_real());
+    check("probes", direct.probes, doc.at("probes").as_int());
+    check("undetected_probes", direct.undetected_probes,
+          doc.at("undetected_probes").as_int());
   } catch (const Error& error) {
     result.passed = false;
     result.message = error.what();
@@ -574,11 +537,7 @@ DifferentialResult diff_expectation_vs_montecarlo(
     }
     ++job;
   }
-  if (!result.passed && result.mismatches.size() > 1) {
-    result.message += " (+" +
-                      std::to_string(result.mismatches.size() - 1) +
-                      " more mismatches)";
-  }
+  note_more_mismatches(result);
   return result;
 }
 
@@ -625,10 +584,10 @@ DifferentialResult diff_expectation_near_threshold(
   return result;
 }
 
-DifferentialResult diff_scalar_vs_simd(const Fleet& fleet, const int f,
-                                       const CrEvalOptions& eval) {
+DifferentialResult diff_kernel_vs_scalar(const Fleet& fleet, const int f,
+                                         const CrEvalOptions& eval) {
   DifferentialResult result;
-  result.name = "scalar_vs_simd";
+  result.name = "kernel_vs_scalar";
   // A fleet that leaves probes undetected throws under require_finite on
   // BOTH paths with the same message; compare the relaxed results so the
   // engine reports value mismatches instead of aborting.
@@ -689,11 +648,7 @@ DifferentialResult diff_scalar_vs_simd(const Fleet& fleet, const int f,
       record(result, i, "detection", direct, columns.detection[i]);
     }
   }
-  if (!result.passed && result.mismatches.size() > 1) {
-    result.message += " (+" +
-                      std::to_string(result.mismatches.size() - 1) +
-                      " more mismatches)";
-  }
+  note_more_mismatches(result);
   return result;
 }
 
@@ -714,7 +669,7 @@ std::vector<DifferentialResult> run_differentials(
   results.push_back(diff_batch_threads(jobs, options));
   results.push_back(diff_probe_vs_exact(fleet, f, eval, options));
   results.push_back(diff_exact_vs_grid(fleet, f, eval, options, targets));
-  results.push_back(diff_scalar_vs_simd(fleet, f, eval));
+  results.push_back(diff_kernel_vs_scalar(fleet, f, eval));
   return results;
 }
 

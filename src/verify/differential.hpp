@@ -100,6 +100,12 @@ struct DifferentialOptions {
     const SearchStrategy& strategy, Real extent, int f,
     const CrEvalOptions& eval);
 
+/// The A(n, f) controllers executed in a World under a crash-stop
+/// FaultInjector: crash_times[i] is robot i's crash time (kInfinity =
+/// healthy).  The crash-executed fleet diff_crash_injected races.
+[[nodiscard]] Fleet execute_crash_schedule(
+    int n, int f, Real extent, const std::vector<Real>& crash_times);
+
 /// Crash-injected World run vs analytic truncation: execute the A(n, f)
 /// controllers under a crash-stop FaultInjector, independently truncate
 /// a CLEAN run at the same crash times (sim/faults truncate_at_crashes),
@@ -131,17 +137,6 @@ struct DifferentialOptions {
     int n, int f, Real extent, const LiePlan& plan,
     const std::vector<Real>& targets, const CrEvalOptions& eval);
 
-/// Service wire round trip vs the library: render `query` as one wire
-/// request line, run it through an in-process QueryServer (svc/server
-/// handle_line — the full parse -> canonicalize -> cache -> evaluate ->
-/// serialize path), parse the response, and demand every QueryResult
-/// field value_identical to evaluate_query_direct on the same query.
-/// The line is sent twice; the warm (cached) response must be
-/// byte-identical to the cold one — the service determinism contract at
-/// the wire level.
-[[nodiscard]] DifferentialResult diff_server_vs_library(
-    const svc::CrQuery& query);
-
 /// Chaos wire round trip vs the library: answer `query` through the
 /// resilient client (svc/client) talking to an in-process QueryServer
 /// across svc/chaos's deterministic fault injector at `chaos_seed`
@@ -150,8 +145,11 @@ struct DifferentialOptions {
 /// response line be BYTE-identical to the offline library's rendering
 /// `render_response(id, evaluate_query_direct(query))` on every call.
 /// Three calls run back to back (ids 1..3) so retries cross cache-warm
-/// and cache-cold server states.  chaos_seed = 0 is the documented
-/// clean channel (the shrinker's first move).  This is the
+/// and cache-cold server states.  The first response is then parsed
+/// back and every QueryResult field must be value_identical to the
+/// library's (a lossy codec renders both sides alike).  chaos_seed = 0
+/// is the documented clean channel: the server-query fuzz kind, the
+/// 41-pair wire grid, and the shrinker's first move.  This is the
 /// never-a-wrong-answer contract: the client either returns the
 /// server's intended bytes or a structured failure — and with
 /// fault-free connections guaranteed every clean_every-th attempt, a
@@ -209,14 +207,13 @@ struct DifferentialOptions {
 /// `eval`, as the query service scans its backends.  Then every
 /// batched per-probe detection time of the full
 /// probe expansion bit-identical to Fleet::detection_time at the same
-/// signed position.  This is the differential that licenses the
-/// configure-time SIMD switch and the prune pass — it must hold on both
-/// LINESEARCH_SIMD builds.
-[[nodiscard]] DifferentialResult diff_scalar_vs_simd(
+/// signed position.  This is the differential that licenses the prune
+/// pass and the batched columns.
+[[nodiscard]] DifferentialResult diff_kernel_vs_scalar(
     const Fleet& fleet, int f, const CrEvalOptions& eval);
 
 /// Run the fleet-level engines (batch_threads, probe_vs_exact,
-/// exact_vs_grid, scalar_vs_simd) on one (fleet, f, window) instance.
+/// exact_vs_grid, kernel_vs_scalar) on one (fleet, f, window) instance.
 /// `targets` adds fuzzer-chosen positions to exact_vs_grid's profile
 /// check.
 [[nodiscard]] std::vector<DifferentialResult> run_differentials(

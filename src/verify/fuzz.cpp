@@ -11,7 +11,6 @@
 #include "core/custom.hpp"
 #include "eval/expectation.hpp"
 #include "obs/metrics.hpp"
-#include "runtime/world.hpp"
 #include "sim/faults.hpp"
 #include "sim/trajectory.hpp"
 #include "sim/zigzag.hpp"
@@ -21,24 +20,106 @@
 
 namespace linesearch {
 namespace verify {
+namespace {
+
+/// How a kind draws (n, f, beta), and which fleet shape it builds.
+enum class Family {
+  kRegimeOptimal,    ///< A(n, f): a regime pair f < n < 2f+2 at beta*
+  kRegimeDrawnBeta,  ///< S_beta(n): a regime pair, beta drawn in [1.2, 6)
+  kUniformOffset,    ///< a regime pair at beta*, arithmetic first turns
+  kDoubling,         ///< GroupDoubling: 0 <= f < n <= 6, beta = 3
+  kCowPath,          ///< ClassicCowPath (not a cone), optionally mirrored
+  kCustomCone,       ///< build_cone_fleet: drawn beta and magnitudes
+};
+
+/// Where the fleet comes from, and so which differentials race it.
+enum class Backend {
+  kDense,          ///< build_fleet(extent); the generic engine set
+  kUnbounded,      ///< build_unbounded_fleet(); the generic engine set
+  kCrashExecuted,  ///< a World run under a crash-stop FaultInjector
+  kWire,           ///< a CrQuery answered through the in-process server
+};
+
+/// What a kind adds to its family and backend.  Each feature keys its
+/// own RNG draw and, where it has them, its differential, shrink moves
+/// and JSON fields.
+enum Feature : unsigned {
+  kDuplicateTargets = 1u << 0,  ///< exact repeats of the leading targets
+  kLies = 1u << 1,              ///< a LiePlan raced by diff_byzantine
+  kFaultP = 1u << 2,            ///< a fault_p for the expectation engines
+  kCrashSchedule = 1u << 3,     ///< crash_times (wire: crash regime only)
+  kChaosChannel = 1u << 4,      ///< a nonzero chaos_seed and fault cap
+};
+
+struct KindRow {
+  const char* name;
+  Family family;
+  Backend backend;
+  unsigned features;
+};
+
+/// What each FleetKind is: one row per kind, in kFleetKinds order.
+constexpr std::array<KindRow, kFleetKinds.size()> kKinds = {{
+    {"proportional", Family::kRegimeOptimal, Backend::kDense, 0},
+    {"perturbed-beta", Family::kRegimeDrawnBeta, Backend::kDense, 0},
+    {"custom-cone", Family::kCustomCone, Backend::kDense, 0},
+    {"group-doubling", Family::kDoubling, Backend::kDense, 0},
+    {"classic-cow-path", Family::kCowPath, Backend::kDense, 0},
+    {"uniform-offset", Family::kUniformOffset, Backend::kDense, 0},
+    {"analytic-zigzag", Family::kRegimeOptimal, Backend::kUnbounded, 0},
+    {"crash-injected", Family::kRegimeOptimal, Backend::kCrashExecuted,
+     kCrashSchedule},
+    {"kernel-soa", Family::kRegimeDrawnBeta, Backend::kDense,
+     kDuplicateTargets},
+    {"byzantine-lies", Family::kRegimeOptimal, Backend::kDense, kLies},
+    {"server-query", Family::kRegimeOptimal, Backend::kWire, kCrashSchedule},
+    {"probabilistic-faults", Family::kRegimeOptimal, Backend::kUnbounded,
+     kFaultP},
+    {"chaos-wire", Family::kRegimeOptimal, Backend::kWire,
+     kCrashSchedule | kChaosChannel},
+}};
+static_assert(std::none_of(kKinds.begin(), kKinds.end(),
+                           [](const KindRow& row) { return !row.name; }),
+              "every FleetKind needs a row");
+
+const KindRow& row_of(const FuzzInstance& instance) {
+  return kKinds[static_cast<std::size_t>(instance.kind)];
+}
+
+bool has(const FuzzInstance& instance, const Feature feature) {
+  return (row_of(instance).features & feature) != 0;
+}
+
+/// Families that draw a proportional-regime pair f < n < 2f+2.
+bool regime_family(const Family family) {
+  return family == Family::kRegimeOptimal ||
+         family == Family::kRegimeDrawnBeta ||
+         family == Family::kUniformOffset;
+}
+
+/// Families whose builder needs extent > kappa(beta)^2.
+bool kappa_family(const Family family) {
+  return regime_family(family) || family == Family::kCustomCone;
+}
+
+/// Families whose beta is drawn rather than derived from (n, f).
+bool drawn_beta_family(const Family family) {
+  return family == Family::kRegimeDrawnBeta || family == Family::kCustomCone;
+}
+
+/// Whether the instance runs under its crash schedule: always on the
+/// executed backend, and for a wire query in the crash regime.
+bool crash_scheduled(const FuzzInstance& instance) {
+  return has(instance, kCrashSchedule) &&
+         (row_of(instance).backend != Backend::kWire ||
+          instance.query_regime == svc::FaultRegime::kCrash);
+}
+
+}  // namespace
 
 const char* kind_name(const FleetKind kind) noexcept {
-  switch (kind) {
-    case FleetKind::kProportional: return "proportional";
-    case FleetKind::kPerturbedBeta: return "perturbed-beta";
-    case FleetKind::kCustomCone: return "custom-cone";
-    case FleetKind::kGroupDoubling: return "group-doubling";
-    case FleetKind::kClassicCowPath: return "classic-cow-path";
-    case FleetKind::kUniformOffset: return "uniform-offset";
-    case FleetKind::kAnalyticZigzag: return "analytic-zigzag";
-    case FleetKind::kCrashInjected: return "crash-injected";
-    case FleetKind::kKernelSoA: return "kernel-soa";
-    case FleetKind::kByzantineLies: return "byzantine-lies";
-    case FleetKind::kServerQuery: return "server-query";
-    case FleetKind::kProbabilisticFaults: return "probabilistic-faults";
-    case FleetKind::kChaosWire: return "chaos-wire";
-  }
-  return "unknown";
+  const auto index = static_cast<std::size_t>(kind);
+  return index < kKinds.size() ? kKinds[index].name : "unknown";
 }
 
 std::optional<FleetKind> kind_from_name(
@@ -57,83 +138,45 @@ const char* injection_name(const Injection injection) noexcept {
   return "unknown";
 }
 
+std::optional<Injection> injection_from_name(
+    const std::string_view name) noexcept {
+  for (const Injection injection : kInjections) {
+    if (name == injection_name(injection)) return injection;
+  }
+  return std::nullopt;
+}
+
 namespace {
-
-bool regime_kind(const FleetKind kind) noexcept {
-  return kind == FleetKind::kProportional ||
-         kind == FleetKind::kPerturbedBeta ||
-         kind == FleetKind::kUniformOffset ||
-         kind == FleetKind::kAnalyticZigzag ||
-         kind == FleetKind::kCrashInjected ||
-         kind == FleetKind::kKernelSoA ||
-         kind == FleetKind::kByzantineLies ||
-         kind == FleetKind::kServerQuery ||
-         kind == FleetKind::kProbabilisticFaults ||
-         kind == FleetKind::kChaosWire;
-}
-
-bool cone_kind(const FleetKind kind) noexcept {
-  return kind != FleetKind::kClassicCowPath;
-}
 
 /// Smallest f with f < n < 2f+2, i.e. the regime floor floor(n/2).
 int regime_f_floor(const int n) noexcept { return n / 2; }
 
-/// Unit-speed Beck/Bellman doubling zig-zag from the origin: waypoints
-/// (0,0), (1,1), (-2,4), (4,10), ... until both half-lines reach
-/// min_coverage.  Its first waypoint (1, 1) lies strictly below the
-/// boundary t = beta*|x| of every cone with beta > 1.
-/// Strategy object behind a fuzz kind, for the dense-vs-analytic
-/// differential; null when the kind has no SearchStrategy form.
-std::unique_ptr<SearchStrategy> make_fuzz_strategy(
-    const FuzzInstance& instance) {
-  switch (instance.kind) {
-    case FleetKind::kProportional:
-    case FleetKind::kAnalyticZigzag:
-    case FleetKind::kByzantineLies:
-    case FleetKind::kProbabilisticFaults:
+/// The SearchStrategy behind the instance's family; null for custom
+/// cones, which have no strategy form.
+StrategyPtr make_fuzz_strategy(const FuzzInstance& instance) {
+  switch (row_of(instance).family) {
+    case Family::kRegimeOptimal:
       return std::make_unique<ProportionalAlgorithm>(instance.n, instance.f);
-    case FleetKind::kPerturbedBeta:
-    case FleetKind::kKernelSoA:
+    case Family::kRegimeDrawnBeta:
       return std::make_unique<ProportionalAlgorithm>(instance.n, instance.f,
                                                      instance.beta);
-    case FleetKind::kGroupDoubling:
+    case Family::kUniformOffset:
+      return std::make_unique<UniformOffsetZigzag>(instance.n, instance.f);
+    case Family::kDoubling:
       return std::make_unique<GroupDoubling>(instance.n, instance.f);
-    case FleetKind::kClassicCowPath:
+    case Family::kCowPath:
       return std::make_unique<ClassicCowPath>(instance.n, instance.f,
                                               instance.mirrored);
-    case FleetKind::kUniformOffset:
-      return std::make_unique<UniformOffsetZigzag>(instance.n, instance.f);
-    case FleetKind::kCustomCone:
-    case FleetKind::kCrashInjected:
-    case FleetKind::kServerQuery:
-    case FleetKind::kChaosWire:
-      // A crashed fleet is not a SearchStrategy, and the wire kinds
-      // have their own dedicated differentials (server/chaos vs
-      // library).
+    case Family::kCustomCone:
       return nullptr;
   }
   return nullptr;
 }
 
-/// The controller team behind kCrashInjected (the crash differential
-/// rebuilds the identical team itself).
-Fleet build_crash_injected_fleet(const FuzzInstance& instance) {
-  std::vector<FaultSpec> plan;
-  plan.reserve(instance.crash_times.size());
-  for (const Real t : instance.crash_times) {
-    plan.push_back(std::isfinite(t) ? FaultSpec::crash_at(t)
-                                    : FaultSpec::none());
-  }
-  std::vector<ControllerPtr> team;
-  team.reserve(static_cast<std::size_t>(instance.n));
-  for (int robot = 0; robot < instance.n; ++robot) {
-    team.push_back(std::make_unique<ProportionalController>(
-        instance.n, instance.f, robot, instance.extent));
-  }
-  return World().execute_team(team, FaultInjector(std::move(plan)));
-}
-
+/// Unit-speed Beck/Bellman doubling zig-zag from the origin: waypoints
+/// (0,0), (1,1), (-2,4), (4,10), ... until both half-lines reach
+/// min_coverage.  Its first waypoint (1, 1) lies strictly below the
+/// boundary t = beta*|x| of every cone with beta > 1.
 Trajectory make_escape_zigzag(const Real min_coverage) {
   TrajectoryBuilder builder;
   builder.start_at(0, 0);
@@ -160,37 +203,27 @@ FuzzInstance generate_instance(const std::uint64_t seed) {
   instance.seed = seed;
   instance.kind = kFleetKinds[static_cast<std::size_t>(
       rng.uniform_int(0, static_cast<int>(kFleetKinds.size()) - 1))];
+  const KindRow& row = row_of(instance);
 
-  switch (instance.kind) {
-    case FleetKind::kProportional:
-    case FleetKind::kPerturbedBeta:
-    case FleetKind::kUniformOffset:
-    case FleetKind::kAnalyticZigzag:
-    case FleetKind::kCrashInjected:
-    case FleetKind::kKernelSoA:
-    case FleetKind::kByzantineLies:
-    case FleetKind::kServerQuery:
-    case FleetKind::kProbabilisticFaults:
-    case FleetKind::kChaosWire: {
+  switch (row.family) {
+    case Family::kRegimeOptimal:
+    case Family::kRegimeDrawnBeta:
+    case Family::kUniformOffset:
       instance.f = rng.uniform_int(1, 4);
       instance.n = rng.uniform_int(instance.f + 1, 2 * instance.f + 1);
-      instance.beta =
-          instance.kind == FleetKind::kPerturbedBeta ||
-                  instance.kind == FleetKind::kKernelSoA
-              ? rng.uniform(1.2L, 6.0L)
-              : optimal_beta(instance.n, instance.f);
+      instance.beta = row.family == Family::kRegimeDrawnBeta
+                          ? rng.uniform(1.2L, 6.0L)
+                          : optimal_beta(instance.n, instance.f);
       break;
-    }
-    case FleetKind::kGroupDoubling:
-    case FleetKind::kClassicCowPath: {
+    case Family::kDoubling:
+    case Family::kCowPath:
       instance.n = rng.uniform_int(1, 6);
       instance.f = rng.uniform_int(0, instance.n - 1);
       instance.beta = 3;
-      instance.mirrored = instance.kind == FleetKind::kClassicCowPath &&
+      instance.mirrored = row.family == Family::kCowPath &&
                           instance.n >= 2 && rng.chance(0.5L);
       break;
-    }
-    case FleetKind::kCustomCone: {
+    case Family::kCustomCone: {
       instance.beta = rng.uniform(1.5L, 4.0L);
       const Real kappa2 = expansion_factor(instance.beta) *
                           expansion_factor(instance.beta);
@@ -208,7 +241,7 @@ FuzzInstance generate_instance(const std::uint64_t seed) {
   instance.window_lo = 1;
   instance.window_hi = static_cast<Real>(1 << rng.uniform_int(2, 4));
   instance.extent = instance.window_hi * 4;
-  if (instance.kind == FleetKind::kCustomCone || regime_kind(instance.kind)) {
+  if (kappa_family(row.family)) {
     // Cone fleets need extent > kappa^2 (builder precondition); regime
     // kinds additionally need the positive turning grid to hold a full
     // n-rung interleaving cycle above 1 — one whole kappa^2 period —
@@ -218,16 +251,15 @@ FuzzInstance generate_instance(const std::uint64_t seed) {
     instance.extent = std::max(instance.extent, kappa2 * Real{1.5L});
   }
 
-  if (instance.kind == FleetKind::kServerQuery ||
-      instance.kind == FleetKind::kChaosWire) {
+  if (row.backend == Backend::kWire) {
     // Which fault regime the wire query runs under; a crash query
-    // carries its schedule in crash_times (generated below, like
-    // kCrashInjected's).
+    // carries its schedule in crash_times (generated below, like the
+    // crash-executed backend's).
     instance.query_regime =
         static_cast<svc::FaultRegime>(rng.uniform_int(0, 2));
   }
 
-  if (instance.kind == FleetKind::kChaosWire) {
+  if (has(instance, kChaosChannel)) {
     // The wire fault injector's substrate: a nonzero seed (0 is the
     // documented clean channel, reserved for the shrinker) and the
     // per-connection fault-script cap.
@@ -235,7 +267,7 @@ FuzzInstance generate_instance(const std::uint64_t seed) {
     instance.chaos_fault_cap = rng.uniform_int(1, 4);
   }
 
-  if (instance.kind == FleetKind::kProbabilisticFaults) {
+  if (has(instance, kFaultP)) {
     // Both draws happen unconditionally so the stream shape is fixed;
     // one instance in five lands past the ladder threshold kappa^(-1/n)
     // (exercising the divergence contract), the rest stay comfortably
@@ -249,10 +281,7 @@ FuzzInstance generate_instance(const std::uint64_t seed) {
                            : threshold * 0.8L * unit;
   }
 
-  if (instance.kind == FleetKind::kCrashInjected ||
-      ((instance.kind == FleetKind::kServerQuery ||
-        instance.kind == FleetKind::kChaosWire) &&
-       instance.query_regime == svc::FaultRegime::kCrash)) {
+  if (crash_scheduled(instance)) {
     // Per-robot crash schedule; both draws happen unconditionally so
     // the stream shape is fixed regardless of which robots crash.
     for (int robot = 0; robot < instance.n; ++robot) {
@@ -262,7 +291,7 @@ FuzzInstance generate_instance(const std::uint64_t seed) {
     }
   }
 
-  if (instance.kind == FleetKind::kByzantineLies) {
+  if (has(instance, kLies)) {
     // Seeded lie schedule on the shared substrate: one draw feeds the
     // dedicated generator, so the plan stays a pure function of the
     // instance seed and the shrinker can mutate the record directly.
@@ -299,7 +328,7 @@ FuzzInstance generate_instance(const std::uint64_t seed) {
       if (++taken == 3) break;
     }
   }
-  if (instance.kind == FleetKind::kKernelSoA) {
+  if (has(instance, kDuplicateTargets)) {
     // Exact duplicates on purpose: the SoA kernel's first-occurrence
     // dedup, and k_profile_batch's kernel slices (raced against serial
     // k_profile on these targets), must treat a repeated position as one.
@@ -313,54 +342,34 @@ FuzzInstance generate_instance(const std::uint64_t seed) {
 
 Fleet build_fuzz_fleet(const FuzzInstance& instance) {
   Fleet fleet = [&instance]() -> Fleet {
-    switch (instance.kind) {
-      case FleetKind::kProportional:
-      case FleetKind::kByzantineLies:
-        // Lies never alter motion — the Byzantine fleet IS the A(n, f)
-        // fleet; only the claim stream differs (diff_byzantine's job).
-        return ProportionalAlgorithm(instance.n, instance.f)
-            .build_fleet(instance.extent);
-      case FleetKind::kPerturbedBeta:
-      case FleetKind::kKernelSoA:
-        return ProportionalAlgorithm(instance.n, instance.f, instance.beta)
-            .build_fleet(instance.extent);
-      case FleetKind::kCustomCone:
-        return build_cone_fleet(instance.beta, instance.magnitudes,
-                                instance.extent);
-      case FleetKind::kGroupDoubling:
-        return GroupDoubling(instance.n, instance.f)
-            .build_fleet(instance.extent);
-      case FleetKind::kClassicCowPath:
-        return ClassicCowPath(instance.n, instance.f, instance.mirrored)
-            .build_fleet(instance.extent);
-      case FleetKind::kUniformOffset:
-        return UniformOffsetZigzag(instance.n, instance.f)
-            .build_fleet(instance.extent);
-      case FleetKind::kAnalyticZigzag:
-      case FleetKind::kProbabilisticFaults:
-        // The same A(n, f) curves as kProportional, but on the analytic
-        // backend with an unbounded horizon — every oracle downstream
-        // must work through windowed queries only.  (The probabilistic
-        // kind needs the unbounded backend: a finite visit list makes
-        // the expectation infinite for every p > 0.)
-        return ProportionalAlgorithm(instance.n, instance.f)
-            .build_unbounded_fleet();
-      case FleetKind::kCrashInjected:
-        return build_crash_injected_fleet(instance);
-      case FleetKind::kServerQuery:
-      case FleetKind::kChaosWire: {
-        // The fleet the wire query evaluates against: plain A(n, f) for
-        // the none/byzantine regimes (lies never alter motion), the
-        // analytic truncation for a crash query.
-        Fleet built = ProportionalAlgorithm(instance.n, instance.f)
-                          .build_fleet(instance.extent);
-        if (instance.query_regime == svc::FaultRegime::kCrash) {
+    switch (row_of(instance).backend) {
+      case Backend::kDense:
+      case Backend::kWire: {
+        const StrategyPtr strategy = make_fuzz_strategy(instance);
+        if (!strategy) {
+          return build_cone_fleet(instance.beta, instance.magnitudes,
+                                  instance.extent);
+        }
+        // Lies never alter motion: a lying fleet IS its family's fleet;
+        // only the claim stream differs (diff_byzantine's job).  A wire
+        // query in the crash regime evaluates the analytic truncation.
+        Fleet built = strategy->build_fleet(instance.extent);
+        if (crash_scheduled(instance)) {
           return truncate_at_crashes(built, instance.crash_times);
         }
         return built;
       }
+      case Backend::kUnbounded:
+        // The family's curves on the analytic backend with an unbounded
+        // horizon — every oracle downstream must work through windowed
+        // queries only.  (fault_p needs this backend: a finite visit
+        // list makes the expectation infinite for every p > 0.)
+        return make_fuzz_strategy(instance)->build_unbounded_fleet();
+      case Backend::kCrashExecuted:
+        return execute_crash_schedule(instance.n, instance.f,
+                                      instance.extent, instance.crash_times);
     }
-    throw PreconditionError("build_fuzz_fleet: unknown kind");
+    throw PreconditionError("build_fuzz_fleet: unknown backend");
   }();
 
   if (instance.injection == Injection::kConeEscape) {
@@ -375,60 +384,28 @@ Fleet build_fuzz_fleet(const FuzzInstance& instance) {
 }
 
 Subject make_subject(const FuzzInstance& instance, const Fleet& fleet) {
+  const KindRow& row = row_of(instance);
   Subject subject;
   subject.fleet = &fleet;
   subject.f = instance.f;
   subject.coverage_extent = instance.extent;
-  if (cone_kind(instance.kind)) subject.beta = instance.beta;
-  switch (instance.kind) {
-    case FleetKind::kProportional:
-    case FleetKind::kByzantineLies:
-      subject.proportional = true;
-      subject.theory_cr = algorithm_cr(instance.n, instance.f);
-      break;
-    case FleetKind::kPerturbedBeta:
-    case FleetKind::kKernelSoA:
-      subject.proportional = true;
-      subject.theory_cr = schedule_cr(instance.n, instance.f, instance.beta);
-      break;
-    case FleetKind::kGroupDoubling:
-      subject.theory_cr = Real{9};
-      break;
-    case FleetKind::kClassicCowPath: {
-      const auto theory =
-          ClassicCowPath(instance.n, instance.f, instance.mirrored)
-              .theoretical_cr();
-      if (theory) subject.theory_cr = *theory;
-      break;
-    }
-    case FleetKind::kAnalyticZigzag:
-    case FleetKind::kProbabilisticFaults:
-      // Genuinely proportional, but the structural re-derivation needs a
-      // materialized waypoint list, which the unbounded backend refuses;
-      // the dense-vs-analytic differential covers the structure instead.
-      subject.theory_cr = algorithm_cr(instance.n, instance.f);
-      break;
-    case FleetKind::kCrashInjected:
-      // Crashed robots stop short of the extent, so the coverage claim
-      // is withdrawn (0 => inapplicable); the ladder is A(n, f) so the
-      // cone claim stands — every truncated leg stays inside C_beta.
-      subject.coverage_extent = 0;
-      break;
-    case FleetKind::kServerQuery:
-    case FleetKind::kChaosWire:
-      if (instance.query_regime == svc::FaultRegime::kCrash) {
-        // Same reasoning as kCrashInjected: truncated legs stay in
-        // C_beta but coverage is withdrawn.
-        subject.coverage_extent = 0;
-      } else {
-        subject.proportional = true;
-        subject.theory_cr = algorithm_cr(instance.n, instance.f);
-      }
-      break;
-    case FleetKind::kCustomCone:
-    case FleetKind::kUniformOffset:
-      break;
+  if (row.family != Family::kCowPath) subject.beta = instance.beta;
+  if (crash_scheduled(instance)) {
+    // Crashed robots stop short of the extent, so the coverage claim is
+    // withdrawn (0 => inapplicable); the ladder is A(n, f), so the cone
+    // claim stands — every truncated leg stays inside C_beta.
+    subject.coverage_extent = 0;
+    return subject;
   }
+  if (const StrategyPtr strategy = make_fuzz_strategy(instance)) {
+    subject.theory_cr = strategy->theoretical_cr();
+  }
+  // The structural re-derivation needs a materialized waypoint list,
+  // which the unbounded backend refuses; the dense-vs-analytic
+  // differential covers the structure there instead.
+  subject.proportional = (row.family == Family::kRegimeOptimal ||
+                          row.family == Family::kRegimeDrawnBeta) &&
+                         row.backend != Backend::kUnbounded;
   return subject;
 }
 
@@ -473,30 +450,26 @@ FuzzOutcome run_instance(const FuzzInstance& instance) {
     options.extra_positions = instance.targets;
     // A crashed fleet can leave probes undetected forever; the adversary
     // game assumes a fully covering fleet, so crash kinds sit it out.
-    options.run_theorem2_game =
-        instance.kind != FleetKind::kCrashInjected &&
-        !((instance.kind == FleetKind::kServerQuery ||
-           instance.kind == FleetKind::kChaosWire) &&
-          instance.query_regime == svc::FaultRegime::kCrash);
+    options.run_theorem2_game = !crash_scheduled(instance);
     outcome.invariants = run_invariants(subject, options);
 
     if (instance.injection == Injection::kNone) {
       CrEvalOptions eval;
       eval.window_lo = instance.window_lo;
       eval.window_hi = instance.window_hi;
+      const Backend backend = row_of(instance).backend;
       try {
-        if (instance.kind == FleetKind::kCrashInjected) {
+        if (backend == Backend::kCrashExecuted) {
           // The generic engines demand finite detection everywhere; the
-          // crash kind instead races the injected World run against the
-          // analytic truncation of a clean run.
+          // crash backend instead races the injected World run against
+          // the analytic truncation of a clean run.
           outcome.differentials.push_back(diff_crash_injected(
               instance.n, instance.f, instance.extent,
               instance.crash_times, eval));
-        } else if (instance.kind == FleetKind::kServerQuery ||
-                   instance.kind == FleetKind::kChaosWire) {
-          // Wire round trip vs the library on this instance's query —
-          // over a clean in-process wire for kServerQuery, through the
-          // seeded chaos channel + resilient client for kChaosWire.
+        } else if (backend == Backend::kWire) {
+          // Wire round trip vs the library on this instance's query,
+          // through the resilient client: over the clean channel
+          // (chaos_seed 0) unless the chaos feature drew a seed.
           svc::CrQuery query;
           query.n = instance.n;
           query.f = instance.f;
@@ -504,27 +477,23 @@ FuzzOutcome run_instance(const FuzzInstance& instance) {
           query.window_lo = instance.window_lo;
           query.window_hi = instance.window_hi;
           query.regime = instance.query_regime;
-          if (instance.query_regime == svc::FaultRegime::kCrash) {
+          if (crash_scheduled(instance)) {
             query.crash_times = instance.crash_times;
           }
-          if (instance.kind == FleetKind::kChaosWire) {
-            outcome.differentials.push_back(diff_chaos_vs_library(
-                query, instance.chaos_seed, instance.chaos_fault_cap));
-          } else {
-            outcome.differentials.push_back(diff_server_vs_library(query));
-          }
+          outcome.differentials.push_back(diff_chaos_vs_library(
+              query, instance.chaos_seed, instance.chaos_fault_cap));
         } else {
           outcome.differentials =
               run_differentials(fleet, instance.f, eval, instance.targets);
         }
-        if (instance.kind == FleetKind::kByzantineLies) {
+        if (has(instance, kLies)) {
           // Race the runtime claim arbiter against the analytic quorum
           // evaluation under this instance's lie schedule.
           outcome.differentials.push_back(
               diff_byzantine(instance.n, instance.f, instance.extent,
                              instance.lies, instance.targets, eval));
         }
-        if (instance.kind == FleetKind::kProbabilisticFaults) {
+        if (has(instance, kFaultP)) {
           // Race the exact expectation engine against the seeded
           // Monte-Carlo realization at this instance's fault_p; the MC
           // seed is derived from the instance seed so the whole verdict
@@ -537,8 +506,12 @@ FuzzOutcome run_instance(const FuzzInstance& instance) {
           outcome.differentials.push_back(diff_expectation_near_threshold(
               instance.n, instance.f, instance.targets));
         }
-        if (const std::unique_ptr<SearchStrategy> strategy =
-                make_fuzz_strategy(instance)) {
+        // A strategy-built fleet must not be able to tell its dense and
+        // analytic backends apart (a crashed or wire fleet is not the
+        // strategy's own).
+        const StrategyPtr strategy = make_fuzz_strategy(instance);
+        if (strategy && (backend == Backend::kDense ||
+                         backend == Backend::kUnbounded)) {
           outcome.differentials.push_back(diff_dense_vs_analytic(
               *strategy, instance.extent, instance.f, eval));
         }
@@ -563,24 +536,18 @@ FuzzOutcome run_instance(const FuzzInstance& instance) {
 namespace {
 
 /// Re-clamp (n, f) after a robot drop so every builder precondition
-/// still holds; regime kinds additionally need f < n < 2f+2, and kinds
-/// whose builder derives beta from (n, f) get the claim re-derived so
-/// the Subject keeps describing the fleet actually built.
+/// still holds; regime families additionally need f < n < 2f+2, and
+/// families whose builder derives beta from (n, f) get the claim
+/// re-derived so the Subject keeps describing the fleet actually built.
 void clamp_faults(FuzzInstance& instance) {
+  const Family family = row_of(instance).family;
   instance.f = std::min(instance.f, instance.n - 1);
-  if (regime_kind(instance.kind)) {
+  if (regime_family(family)) {
     instance.f = std::max({instance.f, regime_f_floor(instance.n), 1});
   }
   instance.f = std::max(instance.f, 0);
   if (instance.n < 2) instance.mirrored = false;
-  if (instance.kind == FleetKind::kProportional ||
-      instance.kind == FleetKind::kUniformOffset ||
-      instance.kind == FleetKind::kAnalyticZigzag ||
-      instance.kind == FleetKind::kCrashInjected ||
-      instance.kind == FleetKind::kByzantineLies ||
-      instance.kind == FleetKind::kServerQuery ||
-      instance.kind == FleetKind::kProbabilisticFaults ||
-      instance.kind == FleetKind::kChaosWire) {
+  if (regime_family(family) && !drawn_beta_family(family)) {
     instance.beta = optimal_beta(instance.n, instance.f);
   }
   while (instance.crash_times.size() >
@@ -605,158 +572,136 @@ void clamp_faults(FuzzInstance& instance) {
   }
 }
 
+/// Round `value` onto the quarter grid, no lower than `floor`; true when
+/// that moved it.
+bool round_to_quarter(Real& value, const Real floor) {
+  const Real rounded = std::max(floor, std::round(value * 4) / 4);
+  if (value_identical(rounded, value)) return false;
+  value = rounded;
+  return true;
+}
+
 /// Candidate shrink moves, smallest-first; each strictly reduces the
 /// instance (fewer targets/robots, smaller extent/window, rounder
 /// parameters), so greedy acceptance terminates.
 std::vector<FuzzInstance> shrink_moves(const FuzzInstance& instance) {
+  const KindRow& row = row_of(instance);
+  const bool custom_cone = row.family == Family::kCustomCone;
   std::vector<FuzzInstance> moves;
+  // One move: a copy of the instance with `edit` applied.
+  const auto add = [&instance, &moves](const auto& edit) {
+    FuzzInstance candidate = instance;
+    edit(candidate);
+    moves.push_back(std::move(candidate));
+  };
 
   if (!instance.targets.empty()) {
-    FuzzInstance cleared = instance;
-    cleared.targets.clear();
-    moves.push_back(std::move(cleared));
-    FuzzInstance fewer = instance;
-    fewer.targets.pop_back();
-    moves.push_back(std::move(fewer));
+    add([](FuzzInstance& c) { c.targets.clear(); });
+    add([](FuzzInstance& c) { c.targets.pop_back(); });
   }
 
-  if (instance.kind == FleetKind::kCustomCone) {
+  if (custom_cone) {
     if (instance.magnitudes.size() > 1) {
-      FuzzInstance dropped = instance;
-      dropped.magnitudes.pop_back();
-      dropped.n = static_cast<int>(dropped.magnitudes.size());
-      clamp_faults(dropped);
-      moves.push_back(std::move(dropped));
+      add([](FuzzInstance& c) {
+        c.magnitudes.pop_back();
+        c.n = static_cast<int>(c.magnitudes.size());
+        clamp_faults(c);
+      });
     }
-  } else if (instance.n > (regime_kind(instance.kind) ? 2 : 1)) {
-    // Regime kinds bottom out at (n, f) = (2, 1), the smallest pair with
-    // 1 <= f < n < 2f+2.
-    FuzzInstance dropped = instance;
-    dropped.n -= 1;
-    clamp_faults(dropped);
-    moves.push_back(std::move(dropped));
+  } else if (instance.n > (regime_family(row.family) ? 2 : 1)) {
+    // Regime families bottom out at (n, f) = (2, 1), the smallest pair
+    // with 1 <= f < n < 2f+2.
+    add([](FuzzInstance& c) {
+      c.n -= 1;
+      clamp_faults(c);
+    });
   }
 
   Real extent_floor = 4;
-  if (instance.kind == FleetKind::kCustomCone || regime_kind(instance.kind)) {
+  if (kappa_family(row.family)) {
     const Real kappa2 =
         expansion_factor(instance.beta) * expansion_factor(instance.beta);
     extent_floor = std::max(extent_floor, kappa2 * Real{1.25L});
   }
   const Real halved_extent = std::max(extent_floor, instance.extent / 2);
   if (halved_extent < instance.extent) {
-    FuzzInstance smaller = instance;
-    smaller.extent = halved_extent;
-    moves.push_back(std::move(smaller));
+    add([halved_extent](FuzzInstance& c) { c.extent = halved_extent; });
   }
 
   const Real halved_window =
       std::max(std::max(Real{2}, instance.window_lo * 2),
                instance.window_hi / 2);
   if (halved_window < instance.window_hi) {
-    FuzzInstance narrower = instance;
-    narrower.window_hi = halved_window;
-    narrower.extent = std::max(narrower.extent, halved_window * 2);
-    moves.push_back(std::move(narrower));
+    add([halved_window](FuzzInstance& c) {
+      c.window_hi = halved_window;
+      c.extent = std::max(c.extent, halved_window * 2);
+    });
   }
 
-  if (instance.kind == FleetKind::kPerturbedBeta ||
-      instance.kind == FleetKind::kCustomCone ||
-      instance.kind == FleetKind::kKernelSoA) {
-    const Real rounded = std::max(Real{1.5L}, std::round(instance.beta));
-    if (!value_identical(rounded, instance.beta)) {
-      FuzzInstance rounder = instance;
-      rounder.beta = rounded;
-      if (rounder.kind == FleetKind::kCustomCone) {
-        const Real kappa2 =
-            expansion_factor(rounder.beta) * expansion_factor(rounder.beta);
-        for (Real& magnitude : rounder.magnitudes) {
-          magnitude = std::min(magnitude, kappa2 * Real{0.999L});
-        }
-        rounder.extent = std::max(rounder.extent, kappa2 * Real{1.25L});
+  const Real rounded_beta = std::max(Real{1.5L}, std::round(instance.beta));
+  if (drawn_beta_family(row.family) &&
+      !value_identical(rounded_beta, instance.beta)) {
+    add([rounded_beta, custom_cone](FuzzInstance& c) {
+      c.beta = rounded_beta;
+      if (!custom_cone) return;
+      const Real kappa2 =
+          expansion_factor(c.beta) * expansion_factor(c.beta);
+      for (Real& magnitude : c.magnitudes) {
+        magnitude = std::min(magnitude, kappa2 * Real{0.999L});
       }
-      moves.push_back(std::move(rounder));
-    }
+      c.extent = std::max(c.extent, kappa2 * Real{1.25L});
+    });
   }
 
-  if (instance.kind == FleetKind::kCustomCone) {
+  if (custom_cone) {
     FuzzInstance rounder = instance;
     bool changed = false;
     for (Real& magnitude : rounder.magnitudes) {
-      const Real rounded =
-          std::max(Real{1}, std::round(magnitude * 4) / 4);
-      if (!value_identical(rounded, magnitude)) {
-        magnitude = rounded;
-        changed = true;
-      }
+      changed = round_to_quarter(magnitude, 1) || changed;
     }
     if (changed) moves.push_back(std::move(rounder));
   }
 
-  if (instance.kind == FleetKind::kChaosWire) {
+  if (has(instance, kChaosChannel) && instance.chaos_seed != 0) {
     // Simplest first: the clean channel (chaos_seed = 0).  If the
     // failure survives, it is a server/protocol bug, not a fault-
     // injection artifact — a strictly simpler repro.
-    if (instance.chaos_seed != 0) {
-      FuzzInstance clean = instance;
-      clean.chaos_seed = 0;
-      moves.push_back(std::move(clean));
-    }
+    add([](FuzzInstance& c) { c.chaos_seed = 0; });
     // Then a shorter fault script: walk the per-connection cap down to
     // one fault, minimizing the (seed, fault-script) pair in the repro.
-    if (instance.chaos_seed != 0 && instance.chaos_fault_cap > 1) {
-      FuzzInstance fewer = instance;
-      fewer.chaos_fault_cap -= 1;
-      moves.push_back(std::move(fewer));
+    if (instance.chaos_fault_cap > 1) {
+      add([](FuzzInstance& c) { c.chaos_fault_cap -= 1; });
     }
   }
 
-  if ((instance.kind == FleetKind::kServerQuery ||
-       instance.kind == FleetKind::kChaosWire) &&
+  if (row.backend == Backend::kWire &&
       instance.query_regime != svc::FaultRegime::kNone) {
     // Simplest first: the plain regime (drops the crash schedule too).
-    FuzzInstance plain = instance;
-    plain.query_regime = svc::FaultRegime::kNone;
-    plain.crash_times.clear();
-    moves.push_back(std::move(plain));
+    add([](FuzzInstance& c) {
+      c.query_regime = svc::FaultRegime::kNone;
+      c.crash_times.clear();
+    });
   }
 
-  if (instance.kind == FleetKind::kCrashInjected ||
-      ((instance.kind == FleetKind::kServerQuery ||
-        instance.kind == FleetKind::kChaosWire) &&
-       instance.query_regime == svc::FaultRegime::kCrash)) {
-    bool any_crash = false;
-    for (const Real t : instance.crash_times) {
-      if (std::isfinite(t)) any_crash = true;
+  if (crash_scheduled(instance) &&
+      std::any_of(instance.crash_times.begin(), instance.crash_times.end(),
+                  [](const Real t) { return std::isfinite(t); })) {
+    // Simplest first: no crashes at all (a plain A(n, f) run).
+    add([](FuzzInstance& c) {
+      std::fill(c.crash_times.begin(), c.crash_times.end(), kInfinity);
+    });
+    // Then rounder crash times (quarter grid, floor 0.25).
+    FuzzInstance rounder = instance;
+    bool changed = false;
+    for (Real& t : rounder.crash_times) {
+      if (std::isfinite(t)) changed = round_to_quarter(t, 0.25L) || changed;
     }
-    if (any_crash) {
-      // Simplest first: no crashes at all (a plain A(n, f) run).
-      FuzzInstance healthy = instance;
-      std::fill(healthy.crash_times.begin(), healthy.crash_times.end(),
-                kInfinity);
-      moves.push_back(std::move(healthy));
-      // Then rounder crash times (quarter grid, floor 0.25).
-      FuzzInstance rounder = instance;
-      bool changed = false;
-      for (Real& t : rounder.crash_times) {
-        if (!std::isfinite(t)) continue;
-        const Real rounded =
-            std::max(Real{0.25L}, std::round(t * 4) / 4);
-        if (!value_identical(rounded, t)) {
-          t = rounded;
-          changed = true;
-        }
-      }
-      if (changed) moves.push_back(std::move(rounder));
-    }
+    if (changed) moves.push_back(std::move(rounder));
   }
 
-  if (instance.kind == FleetKind::kProbabilisticFaults &&
-      instance.fault_p > 0) {
+  if (has(instance, kFaultP) && instance.fault_p > 0) {
     // Simplest first: no failures at all (the bitwise p = 0 branch).
-    FuzzInstance faultfree = instance;
-    faultfree.fault_p = 0;
-    moves.push_back(std::move(faultfree));
+    add([](FuzzInstance& c) { c.fault_p = 0; });
     // Then a rounder p on the sixteenth grid, clamped inside (0, 1) so
     // the rounded instance keeps exercising the same engine branch.
     const Real rounded =
@@ -764,26 +709,21 @@ std::vector<FuzzInstance> shrink_moves(const FuzzInstance& instance) {
                           Real{1} / 16),
                  Real{15} / 16);
     if (!value_identical(rounded, instance.fault_p)) {
-      FuzzInstance rounder = instance;
-      rounder.fault_p = rounded;
-      moves.push_back(std::move(rounder));
+      add([rounded](FuzzInstance& c) { c.fault_p = rounded; });
     }
   }
 
-  if (instance.kind == FleetKind::kByzantineLies &&
-      instance.lies.liar_count() > 0) {
+  if (has(instance, kLies) && instance.lies.liar_count() > 0) {
     // Simplest first: everyone honest (a plain A(n, f) instance).
-    FuzzInstance honest = instance;
-    std::fill(honest.lies.liar.begin(), honest.lies.liar.end(), false);
-    for (auto& claims : honest.lies.claims) claims.clear();
-    moves.push_back(std::move(honest));
+    add([](FuzzInstance& c) {
+      std::fill(c.lies.liar.begin(), c.lies.liar.end(), false);
+      for (auto& claims : c.lies.claims) claims.clear();
+    });
     // Then one fabrication fewer — drop the last liar's last claim (a
     // claimless liar still suppresses its real find).
     for (std::size_t robot = instance.lies.size(); robot-- > 0;) {
       if (!instance.lies.claims[robot].empty()) {
-        FuzzInstance fewer = instance;
-        fewer.lies.claims[robot].pop_back();
-        moves.push_back(std::move(fewer));
+        add([robot](FuzzInstance& c) { c.lies.claims[robot].pop_back(); });
         break;
       }
     }
@@ -792,17 +732,10 @@ std::vector<FuzzInstance> shrink_moves(const FuzzInstance& instance) {
     bool changed = false;
     for (auto& claims : rounder.lies.claims) {
       for (LieEvent& event : claims) {
-        const Real time =
-            std::max(Real{0.25L}, std::round(event.time * 4) / 4);
-        const Real sign = event.position < 0 ? Real{-1} : Real{1};
-        const Real magnitude = std::max(
-            Real{1}, std::round(std::fabs(event.position) * 4) / 4);
-        if (!value_identical(time, event.time)) {
-          event.time = time;
-          changed = true;
-        }
-        if (!value_identical(sign * magnitude, event.position)) {
-          event.position = sign * magnitude;
+        changed = round_to_quarter(event.time, 0.25L) || changed;
+        Real magnitude = std::fabs(event.position);
+        if (round_to_quarter(magnitude, 1)) {
+          event.position = event.position < 0 ? -magnitude : magnitude;
           changed = true;
         }
       }
@@ -865,7 +798,7 @@ std::string instance_to_json(const FuzzInstance& instance,
   json.field("chaos_seed", std::to_string(instance.chaos_seed));
   json.field("chaos_fault_cap", instance.chaos_fault_cap);
   json.key("chaos_scripts").begin_array();
-  if (instance.kind == FleetKind::kChaosWire) {
+  if (has(instance, kChaosChannel)) {
     // The realized fault scripts for the first few connections: with
     // chaos_seed they ARE the minimal repro's fault script (a pure
     // function of (seed, connection, direction)).
@@ -913,20 +846,17 @@ std::string instance_to_json(const FuzzInstance& instance,
   json.end_array();
   json.field("ok", outcome.ok());
   json.key("failures").begin_array();
-  for (const InvariantResult& result : outcome.invariants) {
-    if (result.ok()) continue;
-    json.begin_object();
-    json.field("check", result.name);
-    json.field("message", result.message);
-    json.end_object();
-  }
-  for (const DifferentialResult& result : outcome.differentials) {
-    if (result.ok()) continue;
-    json.begin_object();
-    json.field("check", result.name);
-    json.field("message", result.message);
-    json.end_object();
-  }
+  const auto failures = [&json](const auto& results) {
+    for (const auto& result : results) {
+      if (result.ok()) continue;
+      json.begin_object();
+      json.field("check", result.name);
+      json.field("message", result.message);
+      json.end_object();
+    }
+  };
+  failures(outcome.invariants);
+  failures(outcome.differentials);
   json.end_array();
   json.end_object();
   out << '\n';

@@ -42,7 +42,9 @@ namespace verify {
 /// verify::SplitMix64 spelling (and its streams) intact.
 using ::linesearch::SplitMix64;
 
-/// Strategy families the generator draws from.
+/// Strategy families the generator draws from.  What each kind means —
+/// its parameter family, fleet backend and extra features — is one row
+/// of the kind table in verify/fuzz.cpp.
 enum class FleetKind {
   kProportional,    ///< A(n, f) — optimal beta
   kPerturbedBeta,   ///< S_beta(n) with a random beta != beta*
@@ -54,7 +56,7 @@ enum class FleetKind {
   kCrashInjected,   ///< A(n, f) executed under a crash-stop FaultInjector
   /// S_beta(n) with a random beta whose target list carries exact
   /// duplicates — aimed at the SoA kernel path (probe dedup, batched
-  /// sweeps, scalar-vs-SIMD differential).
+  /// sweeps, kernel-vs-scalar differential).
   kKernelSoA,
   /// A(n, f) with a seeded per-robot lie schedule (sim/faults LiePlan):
   /// the instance races the runtime claim arbiter against the analytic
@@ -63,8 +65,9 @@ enum class FleetKind {
   /// bounds on the same fleet.
   kByzantineLies,
   /// A random CrQuery (plain / byzantine / crash regime) round-tripped
-  /// through the in-process query service wire (svc/server) and raced
-  /// against evaluate_query_direct (diff_server_vs_library).
+  /// through the in-process query service wire (svc/server) over the
+  /// clean channel and raced against evaluate_query_direct
+  /// (diff_chaos_vs_library at chaos_seed 0).
   kServerQuery,
   /// A(n, f) on the analytic backend under per-visit iid probe failures
   /// at the instance's fault_p: the exact expectation engine
@@ -107,11 +110,20 @@ inline constexpr std::array<FleetKind, 13> kFleetKinds = {
     FleetKind::kChaosWire,
 };
 
+/// Every Injection that corrupts an instance (kNone excluded).
+inline constexpr std::array<Injection, 1> kInjections = {
+    Injection::kConeEscape,
+};
+
 [[nodiscard]] const char* kind_name(FleetKind kind) noexcept;
 /// The kind whose kind_name is `name`; nullopt for an unknown name.
 [[nodiscard]] std::optional<FleetKind> kind_from_name(
     std::string_view name) noexcept;
 [[nodiscard]] const char* injection_name(Injection injection) noexcept;
+/// The kInjections entry whose injection_name is `name`; nullopt for an
+/// unknown name (and for "none").
+[[nodiscard]] std::optional<Injection> injection_from_name(
+    std::string_view name) noexcept;
 
 /// One fuzz case.  Every field is derived from `seed` by
 /// generate_instance; the shrinker then mutates the record directly.
@@ -128,21 +140,23 @@ struct FuzzInstance {
   Real window_lo = 1;
   Real window_hi = 16;
   std::vector<Real> targets;    ///< adversarial probe positions (signed)
-  /// kCrashInjected only: per-robot crash-stop times (kInfinity =
-  /// healthy).  Size n when present.
+  /// Crash-schedule feature: per-robot crash-stop times (kInfinity =
+  /// healthy).  Size n when present; a wire query carries one only in
+  /// the crash regime.
   std::vector<Real> crash_times;
-  /// kByzantineLies only: per-robot lie schedule (size n when present;
+  /// Lie-plan feature: per-robot lie schedule (size n when present;
   /// liar_count <= f always).
   LiePlan lies;
-  /// kServerQuery / kChaosWire: which fault regime the wire query runs
-  /// under (kCrash reuses crash_times as the query's schedule).
+  /// Wire backend: which fault regime the wire query runs under (kCrash
+  /// reuses crash_times as the query's schedule).
   svc::FaultRegime query_regime = svc::FaultRegime::kNone;
-  /// kProbabilisticFaults only: per-visit failure probability in [0, 1).
+  /// fault_p feature: per-visit failure probability in [0, 1).
   Real fault_p = 0;
-  /// kChaosWire only: the wire fault injector's seed (0 = clean channel
-  /// — the shrinker's first move, separating transport bugs from
-  /// server bugs) and the per-connection fault-script cap the shrinker
-  /// walks down to minimize the failing script.
+  /// Chaos-channel feature: the wire fault injector's seed (0 = clean
+  /// channel — what every other wire instance runs, and the shrinker's
+  /// first move, separating transport bugs from server bugs) and the
+  /// per-connection fault-script cap the shrinker walks down to
+  /// minimize the failing script.
   std::uint64_t chaos_seed = 0;
   int chaos_fault_cap = 3;
 };

@@ -1,12 +1,14 @@
-// The service acceptance grid: verify::diff_server_vs_library must hold
-// — every QueryResult field value_identical between the wire round trip
-// and evaluate_query_direct, with a byte-identical warm replay — on all
-// 41 proportional regime pairs with n <= 12, under every fault regime
+// The service acceptance grid: verify::diff_chaos_vs_library on the
+// clean channel (chaos_seed 0) must hold — every response byte-identical
+// to the library's rendering, cold and warm, and every QueryResult field
+// parsed back value_identical to evaluate_query_direct — on all 41
+// proportional regime pairs with n <= 12, under every fault regime
 // (plain, byzantine, a crash schedule, and probabilistic probe failure
 // at a grid-wide convergent p plus a per-pair divergent p whose inf
-// expected CR pins the non-finite codec on the wire).  This is the 8th
-// differential engine's full-grid certification; the fuzzer samples the
-// same engine on random queries.
+// expected CR pins the non-finite codec on the wire).  This is the wire
+// differential's full-grid certification; the fuzzer samples the same
+// engine on random queries (server-query on the clean channel,
+// chaos-wire through seeded faults).
 #include <gtest/gtest.h>
 
 #include <utility>
@@ -44,7 +46,7 @@ void run_grid(const svc::FaultRegime regime, const Real fault_p = 0) {
   ASSERT_EQ(pairs.size(), 41u);
   for (const auto& [n, f] : pairs) {
     const verify::DifferentialResult result =
-        verify::diff_server_vs_library(grid_query(n, f, regime, fault_p));
+        verify::diff_chaos_vs_library(grid_query(n, f, regime, fault_p), 0);
     EXPECT_TRUE(result.ok())
         << "n=" << n << " f=" << f << ": " << result.message;
     EXPECT_TRUE(result.mismatches.empty()) << "n=" << n << " f=" << f;
@@ -74,8 +76,8 @@ TEST(SvcAcceptanceGrid, ProbabilisticRegimeAllPairsConvergent) {
 TEST(SvcAcceptanceGrid, ProbabilisticDivergentPinsInfOnTheWire) {
   // Past (3, 1)'s threshold the expected CR is inf on both paths; the
   // differential also certifies the warm replay of the "inf" codec.
-  const verify::DifferentialResult result = verify::diff_server_vs_library(
-      grid_query(3, 1, svc::FaultRegime::kProbabilistic, 0.8L));
+  const verify::DifferentialResult result = verify::diff_chaos_vs_library(
+      grid_query(3, 1, svc::FaultRegime::kProbabilistic, 0.8L), 0);
   EXPECT_TRUE(result.ok()) << result.message;
   EXPECT_TRUE(result.mismatches.empty());
 }

@@ -78,23 +78,23 @@ TEST(Differential, ImpossibleToleranceProducesStructuredMismatch) {
   EXPECT_FALSE(describe_failures({result}).empty());
 }
 
-TEST(Differential, ScalarVsSimdBitIdenticalOnDenseFleet) {
+TEST(Differential, KernelVsScalarBitIdenticalOnDenseFleet) {
   const Fleet fleet = ProportionalAlgorithm(5, 2).build_fleet(64);
-  const DifferentialResult result = diff_scalar_vs_simd(fleet, 2, window16());
-  EXPECT_EQ(result.name, "scalar_vs_simd");
+  const DifferentialResult result = diff_kernel_vs_scalar(fleet, 2, window16());
+  EXPECT_EQ(result.name, "kernel_vs_scalar");
   EXPECT_TRUE(result.ok()) << result.message;
   EXPECT_TRUE(result.mismatches.empty());
 }
 
-TEST(Differential, ScalarVsSimdBitIdenticalOnAnalyticFleet) {
+TEST(Differential, KernelVsScalarBitIdenticalOnAnalyticFleet) {
   // The batched frontier sweep has a dedicated closed-form path on the
   // unbounded backend; it must be as indistinguishable as the dense one.
   const Fleet fleet = ProportionalAlgorithm(5, 2).build_unbounded_fleet();
-  const DifferentialResult result = diff_scalar_vs_simd(fleet, 2, window16());
+  const DifferentialResult result = diff_kernel_vs_scalar(fleet, 2, window16());
   EXPECT_TRUE(result.ok()) << result.message;
 }
 
-TEST(Differential, ScalarVsSimdAgreesOnUndetectedProbes) {
+TEST(Differential, KernelVsScalarAgreesOnUndetectedProbes) {
   // An under-built fleet leaves probes undetected; the engine relaxes
   // require_finite and both paths must report the identical undetected
   // count instead of throwing.
@@ -102,7 +102,7 @@ TEST(Differential, ScalarVsSimdAgreesOnUndetectedProbes) {
   CrEvalOptions eval = window16();
   eval.window_hi = 4096;  // far beyond the fleet's reach
   eval.require_finite = false;
-  const DifferentialResult result = diff_scalar_vs_simd(fleet, 1, eval);
+  const DifferentialResult result = diff_kernel_vs_scalar(fleet, 1, eval);
   EXPECT_TRUE(result.ok()) << result.message;
 }
 

@@ -251,7 +251,7 @@ TEST(Fuzz, KernelKindCarriesDuplicateTargets) {
   // The kernel-soa kind exists to stress exact-duplicate handling: its
   // target list repeats its leading entries bit-for-bit, and the
   // instance still passes every oracle and differential (including
-  // scalar_vs_simd).
+  // kernel_vs_scalar).
   int kernel_seeds = 0;
   for (std::uint64_t seed = 1; seed <= 120; ++seed) {
     const FuzzInstance instance = generate_instance(seed);
@@ -270,11 +270,11 @@ TEST(Fuzz, KernelKindCarriesDuplicateTargets) {
     if (kernel_seeds == 1) {
       const FuzzOutcome outcome = run_instance(instance);
       EXPECT_TRUE(outcome.ok()) << outcome.describe();
-      bool ran_scalar_vs_simd = false;
+      bool ran_kernel_vs_scalar = false;
       for (const DifferentialResult& result : outcome.differentials) {
-        if (result.name == "scalar_vs_simd") ran_scalar_vs_simd = true;
+        if (result.name == "kernel_vs_scalar") ran_kernel_vs_scalar = true;
       }
-      EXPECT_TRUE(ran_scalar_vs_simd);
+      EXPECT_TRUE(ran_kernel_vs_scalar);
     }
   }
   EXPECT_GT(kernel_seeds, 0);
@@ -370,7 +370,8 @@ TEST(Fuzz, ShrinkerReducesByzantineInstanceToAtMostThreeRobots) {
 
 TEST(Fuzz, ServerQueryKindCoversEveryRegimeAndRunsTheWireDifferential) {
   // Server-query instances swap the generic engine set for the wire
-  // round trip (diff_server_vs_library); crash-regime queries carry a
+  // round trip over the clean channel (diff_chaos_vs_library at
+  // chaos_seed 0, which they never draw); crash-regime queries carry a
   // full per-robot schedule, and across the 120-seed corpus all three
   // fault regimes must appear.
   std::set<svc::FaultRegime> regimes;
@@ -380,6 +381,7 @@ TEST(Fuzz, ServerQueryKindCoversEveryRegimeAndRunsTheWireDifferential) {
     if (instance.kind != FleetKind::kServerQuery) continue;
     ++server_seeds;
     regimes.insert(instance.query_regime);
+    EXPECT_EQ(instance.chaos_seed, 0u) << seed;
     if (instance.query_regime == svc::FaultRegime::kCrash) {
       EXPECT_EQ(instance.crash_times.size(),
                 static_cast<std::size_t>(instance.n))
@@ -392,7 +394,7 @@ TEST(Fuzz, ServerQueryKindCoversEveryRegimeAndRunsTheWireDifferential) {
       EXPECT_TRUE(outcome.ok()) << outcome.describe();
       EXPECT_EQ(outcome.invariants.size(), 11u);
       ASSERT_EQ(outcome.differentials.size(), 1u);
-      EXPECT_EQ(outcome.differentials[0].name, "server_vs_library");
+      EXPECT_EQ(outcome.differentials[0].name, "chaos_vs_library");
     }
   }
   EXPECT_GT(server_seeds, 0);
