@@ -1,6 +1,7 @@
 #include "util/jsonio.hpp"
 
 #include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -142,9 +143,14 @@ long long JsonValue::as_int() const {
   expects(kind_ == Kind::kNumber, "json: value is not a number");
   const char* begin = text_.c_str();
   char* end = nullptr;
+  errno = 0;
   const long long parsed = std::strtoll(begin, &end, 10);
   expects(end != nullptr && *end == '\0',
           [&] { return "json: number is not an integer: " + text_; });
+  // strtoll saturates out-of-range text: reject it rather than answer
+  // with a value the document never held.
+  expects(errno != ERANGE,
+          [&] { return "json: integer out of range: " + text_; });
   return parsed;
 }
 
@@ -154,9 +160,12 @@ std::uint64_t JsonValue::as_uint64() const {
           [&] { return "json: number is negative: " + text_; });
   const char* begin = text_.c_str();
   char* end = nullptr;
+  errno = 0;
   const unsigned long long parsed = std::strtoull(begin, &end, 10);
   expects(end != nullptr && *end == '\0',
           [&] { return "json: number is not an unsigned integer: " + text_; });
+  expects(errno != ERANGE,
+          [&] { return "json: integer out of range: " + text_; });
   return static_cast<std::uint64_t>(parsed);
 }
 

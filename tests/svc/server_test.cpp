@@ -119,6 +119,24 @@ TEST(WireRequestParse, RejectsMalformedInput) {
             "(valid: none, byzantine, crash, probabilistic)");
 }
 
+TEST(QueryServerHandleLine, RejectsOutOfRangeIdsInsteadOfClamping) {
+  // An id strtoll would saturate is not echoed as a clamped value the
+  // client never sent: no id can be read from the line, so the error
+  // carries id 0.
+  QueryServer server;
+  EXPECT_EQ(server.handle_line(R"({"id":99999999999999999999,"op":"cr",)"
+                               R"("n":3,"f":1,"window_hi":16})"),
+            R"({"id":0,"ok":false,"error":"json: integer out of range: )"
+            R"(99999999999999999999"})");
+  EXPECT_EQ(server.handle_line(R"({"id":-99999999999999999999,"op":"cr",)"
+                               R"("n":3,"f":1,"window_hi":16})"),
+            R"({"id":0,"ok":false,"error":"json: integer out of range: )"
+            R"(-99999999999999999999"})");
+  EXPECT_EQ(request_message(R"({"op": "cr", "n": 99999999999999999999})"),
+            "json: integer out of range: 99999999999999999999");
+  EXPECT_EQ(peek_request_id(R"({"id":9223372036854775808,"op":"cr"})"), 0);
+}
+
 TEST(QueryServerHandleLine, MatchesTheDirectPath) {
   QueryServer server;
   const std::string request =

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <sstream>
 
@@ -232,6 +233,31 @@ TEST(JsonParser, DecodesEscapesAndRejectsMalformedInput) {
             "csv: malformed number 'x'");
   EXPECT_EQ(precondition_message([&] { (void)object.at("c").as_int(); }),
             "json: value is not a number");
+}
+
+TEST(JsonParser, RejectsOutOfRangeIntegers) {
+  // strtoll/strtoull saturate out-of-range text; the conversion must
+  // refuse it, not hand back a clamped value the document never held.
+  EXPECT_EQ(precondition_message([] {
+              (void)parse_json("99999999999999999999").as_int();
+            }),
+            "json: integer out of range: 99999999999999999999");
+  EXPECT_EQ(precondition_message([] {
+              (void)parse_json("-99999999999999999999").as_int();
+            }),
+            "json: integer out of range: -99999999999999999999");
+  EXPECT_EQ(precondition_message([] {
+              (void)parse_json("9223372036854775808").as_int();
+            }),
+            "json: integer out of range: 9223372036854775808");
+  EXPECT_EQ(precondition_message([] {
+              (void)parse_json("184467440737095516160").as_uint64();
+            }),
+            "json: integer out of range: 184467440737095516160");
+  // The extremes themselves still convert.
+  EXPECT_EQ(parse_json("9223372036854775807").as_int(), INT64_MAX);
+  EXPECT_EQ(parse_json("-9223372036854775808").as_int(), INT64_MIN);
+  EXPECT_EQ(parse_json("18446744073709551615").as_uint64(), UINT64_MAX);
 }
 
 TEST(JsonParser, BoundsNestingDepth) {
