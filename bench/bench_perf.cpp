@@ -39,6 +39,7 @@
 #include "svc/client.hpp"
 #include "svc/server.hpp"
 #include "svc/snapshot.hpp"
+#include "util/jsonio.hpp"
 #include "util/parallel.hpp"
 
 namespace {
@@ -420,6 +421,49 @@ BENCHMARK(BM_SocketRoundTrip)
     ->Threads(2)
     ->Threads(8)
     ->UseRealTime();
+
+/// What BM_WireDecode times on one line.
+enum class WireDecode {
+  kRequest,          ///< svc::parse_request
+  kResponse,         ///< svc::classify_response
+  kParseJsonTree,    ///< parse_json, the tree the wire decoders once built
+};
+
+void BM_WireDecode(benchmark::State& state, const WireDecode decode,
+                   const bool response_line) {
+  // An svc_hot request line and the hit response it draws.  The
+  // parse_json rows time the tree decode of the same lines, the path
+  // parse_request and the client's classification replaced.
+  svc::CrQuery query;
+  query.n = 7;
+  query.f = 4;
+  query.window_hi = 1024;
+  query.interior_samples = 4;
+  const std::string request = svc::render_request(12345, query);
+  svc::QueryServer server;
+  const std::string response = server.handle_line(request);
+  const std::string& line = response_line ? response : request;
+  for (auto _ : state) {
+    switch (decode) {
+      case WireDecode::kRequest:
+        benchmark::DoNotOptimize(svc::parse_request(line));
+        break;
+      case WireDecode::kResponse:
+        benchmark::DoNotOptimize(svc::classify_response(line, 12345));
+        break;
+      case WireDecode::kParseJsonTree:
+        benchmark::DoNotOptimize(parse_json(line));
+        break;
+    }
+  }
+  state.counters["bytes"] = static_cast<double>(line.size());
+}
+BENCHMARK_CAPTURE(BM_WireDecode, request, WireDecode::kRequest, false);
+BENCHMARK_CAPTURE(BM_WireDecode, request_parse_json,
+                  WireDecode::kParseJsonTree, false);
+BENCHMARK_CAPTURE(BM_WireDecode, response, WireDecode::kResponse, true);
+BENCHMARK_CAPTURE(BM_WireDecode, response_parse_json,
+                  WireDecode::kParseJsonTree, true);
 
 void BM_AdversarialGame(benchmark::State& state) {
   const int n = 3, f = 1;

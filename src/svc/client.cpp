@@ -50,49 +50,37 @@ struct ClientMetrics {
 
 /// Parse the request line's id without validating the full query shape
 /// (the server owns that).  Throws on unparseable JSON.
-long long request_id_of(const std::string& line) {
-  const JsonValue doc = parse_json(line);
+long long request_id_of(const std::string_view line) {
+  const JsonView doc(line);
   expects(doc.is_object(), "client: request must be a JSON object");
-  const JsonValue* id = doc.find("id");
+  const JsonToken* id = doc.find("id");
   return id == nullptr ? 0 : id->as_int();
 }
 
-/// What one response line means to the call waiting on it.
-enum class Reply {
-  kForeign,    ///< damaged or foreign frame: reconnect and re-issue
-  kRetryable,  ///< the server shed the request: retry on a fresh connection
-  kAnswer,     ///< authoritative: the server's answer to this request
-};
+}  // namespace
 
-/// Classify a response line with a single parse.  A line is
-/// authoritative iff it parses as an object whose "id" echoes the
-/// request and which carries an "ok" field; anything else is a damaged
-/// or foreign frame.  An authoritative {"ok":false} whose error is
-/// "overloaded" or starts with "draining" names a condition that is
-/// transient by contract (overload sheds, drains finish), so retrying on
-/// a fresh connection can succeed.
-Reply classify_response(const std::string& line, const long long expected_id) {
-  JsonValue doc;
+Reply classify_response(const std::string_view line,
+                        const long long expected_id) {
   try {
-    doc = parse_json(line);
+    const JsonView doc(line);
     if (!doc.is_object()) return Reply::kForeign;
-    const JsonValue* id = doc.find("id");
+    const JsonToken* id = doc.find("id");
     if (id == nullptr || id->as_int() != expected_id) return Reply::kForeign;
+    const JsonToken* ok = doc.find("ok");
+    if (ok == nullptr) return Reply::kForeign;
+    if (ok->kind != JsonKind::kBool || ok->as_bool()) return Reply::kAnswer;
+    const JsonToken* error = doc.find("error");
+    if (error == nullptr || error->kind != JsonKind::kString) {
+      return Reply::kAnswer;
+    }
+    const std::string_view text = error->as_string();
+    return text == "overloaded" || text.starts_with("draining")
+               ? Reply::kRetryable
+               : Reply::kAnswer;
   } catch (const std::exception&) {
     return Reply::kForeign;
   }
-  const JsonValue* ok = doc.find("ok");
-  if (ok == nullptr) return Reply::kForeign;
-  if (!ok->is_bool() || ok->as_bool()) return Reply::kAnswer;
-  const JsonValue* error = doc.find("error");
-  if (error == nullptr || !error->is_string()) return Reply::kAnswer;
-  const std::string& text = error->as_string();
-  return text == "overloaded" || text.starts_with("draining")
-             ? Reply::kRetryable
-             : Reply::kAnswer;
 }
-
-}  // namespace
 
 SocketTransport::SocketTransport(std::string socket_path)
     : socket_path_(std::move(socket_path)) {}
@@ -234,8 +222,8 @@ ClientResult QueryClient::call_line(const std::string& request_line) {
       while (true) {
         const std::size_t newline = buffer.find('\n', line_start);
         if (newline == std::string::npos) break;
-        const std::string line =
-            buffer.substr(line_start, newline - line_start);
+        const std::string_view line(buffer.data() + line_start,
+                                    newline - line_start);
         line_start = newline + 1;
         if (line.empty()) continue;
         const Reply reply = classify_response(line, expected_id);
@@ -260,7 +248,7 @@ ClientResult QueryClient::call_line(const std::string& request_line) {
         // drop the connection rather than let them leak into the next
         // call.
         result.ok = true;
-        result.response = line;
+        result.response.assign(line);
         if (line_start < buffer.size()) transport_->disconnect();
         return result;
       }

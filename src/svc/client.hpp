@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "svc/query.hpp"
 #include "svc/socket_io.hpp"
@@ -121,6 +122,23 @@ class QueryClient {
   ClientOptions options_;
   std::unique_ptr<ClientTransport> transport_;
 };
+
+/// What one response line means to the call waiting on it.
+enum class Reply {
+  kForeign,    ///< damaged or foreign frame: reconnect and re-issue
+  kRetryable,  ///< the server shed the request: retry on a fresh connection
+  kAnswer,     ///< authoritative: the server's answer to this request
+};
+
+/// Classify a response line with a single parse.  A line is
+/// authoritative iff it parses as an object whose "id" echoes the
+/// request and which carries an "ok" field; anything else is a damaged
+/// or foreign frame.  An authoritative {"ok":false} whose error is
+/// "overloaded" or starts with "draining" names a condition that is
+/// transient by contract (overload sheds, drains finish), so retrying on
+/// a fresh connection can succeed.  Builds no JSON tree.
+[[nodiscard]] Reply classify_response(std::string_view line,
+                                      long long expected_id);
 
 /// Render the wire request line for a query (compact JSON, no trailing
 /// newline) — the inverse of svc::parse_request for canonical fields.

@@ -268,12 +268,12 @@ const char* fault_regime_name(const FaultRegime regime) {
   return "unknown";
 }
 
-FaultRegime fault_regime_from_name(const std::string& name) {
+FaultRegime fault_regime_from_name(const std::string_view name) {
   if (name == "none") return FaultRegime::kNone;
   if (name == "byzantine") return FaultRegime::kByzantine;
   if (name == "crash") return FaultRegime::kCrash;
   if (name == "probabilistic") return FaultRegime::kProbabilistic;
-  throw PreconditionError("svc: unknown fault regime '" + name +
+  throw PreconditionError("svc: unknown fault regime '" + std::string(name) +
                           "' (valid: none, byzantine, crash, probabilistic)");
 }
 

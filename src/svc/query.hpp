@@ -37,6 +37,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -64,7 +65,7 @@ enum class FaultRegime {
 
 /// Inverse of fault_regime_name; throws PreconditionError on unknown
 /// names (the error message lists the valid spellings).
-[[nodiscard]] FaultRegime fault_regime_from_name(const std::string& name);
+[[nodiscard]] FaultRegime fault_regime_from_name(std::string_view name);
 
 /// One CR evaluation request.  The canonical key of the whole service:
 /// equal canonical queries MUST produce value-identical results.

@@ -76,14 +76,13 @@ struct WireMetrics {
 /// observed while blocked on the socket.
 constexpr int kPollMillis = 100;
 
-Real real_field(const JsonValue& doc, const char* name,
-                const Real fallback) {
-  const JsonValue* found = doc.find(name);
+Real real_field(const JsonView& doc, const char* name, const Real fallback) {
+  const JsonToken* found = doc.find(name);
   return found == nullptr ? fallback : found->as_real();
 }
 
-int int_field(const JsonValue& doc, const char* name, const int fallback) {
-  const JsonValue* found = doc.find(name);
+int int_field(const JsonView& doc, const char* name, const int fallback) {
+  const JsonToken* found = doc.find(name);
   if (found == nullptr) return fallback;
   const long long value = found->as_int();
   expects(value >= INT_MIN && value <= INT_MAX, [name] {
@@ -108,16 +107,19 @@ void bump(std::atomic<std::uint64_t>& tally) {
 
 }  // namespace
 
-WireRequest parse_request(const std::string& line) {
-  const JsonValue doc = parse_json(line);
+WireRequest parse_request(const std::string_view line) {
+  // JsonView validates the whole line first, so a syntax error always
+  // wins over a field error; fields are then read in a fixed order.
+  const JsonView doc(line);
   expects(doc.is_object(), "svc: request must be a JSON object");
   WireRequest request;
-  if (const JsonValue* id = doc.find("id"); id != nullptr) {
+  if (const JsonToken* id = doc.find("id"); id != nullptr) {
     request.id = id->as_int();
   }
-  const std::string& op = doc.at("op").as_string();
-  expects(op == "cr",
-          [&op] { return "svc: unknown op '" + op + "' (valid: cr)"; });
+  const std::string_view op = doc.at("op").as_string();
+  expects(op == "cr", [op] {
+    return "svc: unknown op '" + std::string(op) + "' (valid: cr)";
+  });
   CrQuery& query = request.query;
   query.n = int_field(doc, "n", query.n);
   query.f = int_field(doc, "f", query.f);
@@ -126,13 +128,14 @@ WireRequest parse_request(const std::string& line) {
   query.window_hi = real_field(doc, "window_hi", query.window_hi);
   query.interior_samples =
       int_field(doc, "interior_samples", query.interior_samples);
-  if (const JsonValue* regime = doc.find("regime"); regime != nullptr) {
+  if (const JsonToken* regime = doc.find("regime"); regime != nullptr) {
     query.regime = fault_regime_from_name(regime->as_string());
   }
-  if (const JsonValue* crashes = doc.find("crash_times");
+  if (const JsonToken* crashes = doc.find("crash_times");
       crashes != nullptr) {
-    for (const JsonValue& entry : crashes->as_array()) {
-      query.crash_times.push_back(entry.as_real());
+    const JsonView entries(crashes->as_array());
+    for (const JsonView::Member& entry : entries.members()) {
+      query.crash_times.push_back(entry.value.as_real());
     }
   }
   query.fault_p = real_field(doc, "fault_p", query.fault_p);
@@ -182,11 +185,11 @@ std::string render_response(const long long id, const QueryResult& result) {
   return with_id(id, render_response_tail(result));
 }
 
-long long peek_request_id(const std::string& line) noexcept {
+long long peek_request_id(const std::string_view line) noexcept {
   try {
-    const JsonValue doc = parse_json(line);
+    const JsonView doc(line);
     if (!doc.is_object()) return 0;
-    const JsonValue* id = doc.find("id");
+    const JsonToken* id = doc.find("id");
     return id == nullptr ? 0 : id->as_int();
   } catch (const std::exception&) {
     return 0;

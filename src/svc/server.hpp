@@ -165,7 +165,7 @@ struct WireRequest {
   long long id = 0;
   CrQuery query;
 };
-[[nodiscard]] WireRequest parse_request(const std::string& line);
+[[nodiscard]] WireRequest parse_request(std::string_view line);
 
 /// Render the success / error response lines (compact JSON, no trailing
 /// newline).  These functions define the byte format the golden
@@ -182,7 +182,7 @@ struct WireRequest {
 /// a resilient client can match a structured failure to its request —
 /// and a 0-id response to a nonzero-id request is provable evidence the
 /// request was damaged in flight (svc/client.hpp).
-[[nodiscard]] long long peek_request_id(const std::string& line) noexcept;
+[[nodiscard]] long long peek_request_id(std::string_view line) noexcept;
 
 /// The drain contract's reject half (docs/service.md): one visible
 /// "draining" error response per complete line still in `pending` when

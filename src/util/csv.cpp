@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <istream>
 #include <ostream>
 #include <string>
@@ -58,17 +59,30 @@ std::string encode_real_field(const Real value, const int digits) {
   return sig(value, digits);
 }
 
-Real parse_real_field(const std::string& field) {
+Real parse_real_field(const std::string_view field) {
   expects(!field.empty(), "csv: empty numeric field");
   // Legacy NaN marker of the human-facing tables (util/format renders
   // NaN as "-"); accept it so old table-derived CSVs stay readable.
   if (field == "-") return kNaN;
+  // strtold reads a terminated copy; a field as short as every number
+  // the writers emit stays on the stack.
+  char small[64];
+  std::string large;
+  const char* begin = small;
+  if (field.size() < sizeof small) {
+    std::memcpy(small, field.data(), field.size());
+    small[field.size()] = '\0';
+  } else {
+    large.assign(field);
+    begin = large.c_str();
+  }
   char* end = nullptr;
-  const Real value = std::strtold(field.c_str(), &end);
+  const Real value = std::strtold(begin, &end);
   // strtold itself accepts "inf"/"infinity"/"nan" (any case, signed), so
   // the only job left is rejecting partial parses like "1.5x".
-  expects(end != nullptr && *end == '\0',
-          [&field] { return "csv: malformed number '" + field + "'"; });
+  expects(end != nullptr && *end == '\0', [field] {
+    return "csv: malformed number '" + std::string(field) + "'";
+  });
   return value;
 }
 

@@ -16,6 +16,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/real.hpp"
@@ -30,8 +31,9 @@ namespace linesearch {
 /// Parse a field written by encode_real_field (or any strtold-legal
 /// number).  Accepts "inf"/"-inf"/"infinity"/"nan" case-insensitively and
 /// the legacy "-" NaN marker; throws PreconditionError on anything else
-/// that is not a full number.
-[[nodiscard]] Real parse_real_field(const std::string& field);
+/// that is not a full number.  Like strtold, it skips leading whitespace,
+/// and it stops at an embedded NUL byte.
+[[nodiscard]] Real parse_real_field(std::string_view field);
 
 /// Streaming CSV writer bound to an ostream.
 class CsvWriter {

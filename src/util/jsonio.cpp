@@ -1,10 +1,9 @@
 #include "util/jsonio.hpp"
 
-#include <cctype>
-#include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <system_error>
 
 #include "util/csv.hpp"
 #include "util/error.hpp"
@@ -125,52 +124,67 @@ JsonWriter& JsonWriter::value(const bool flag) {
   return *this;
 }
 
-bool JsonValue::as_bool() const {
-  expects(kind_ == Kind::kBool, "json: value is not a bool");
-  return bool_;
-}
+namespace {
 
-Real JsonValue::as_real() const {
-  // A string payload is legal here iff it parses under the shared codec:
-  // that is how JsonWriter spells inf/-inf/nan, the values JSON itself
-  // cannot carry as numbers.
-  expects(kind_ == Kind::kNumber || kind_ == Kind::kString,
-          "json: value is not a number (or codec string)");
-  return parse_real_field(text_);
-}
-
-long long JsonValue::as_int() const {
-  expects(kind_ == Kind::kNumber, "json: value is not a number");
-  const char* begin = text_.c_str();
-  char* end = nullptr;
-  errno = 0;
-  const long long parsed = std::strtoll(begin, &end, 10);
-  expects(end != nullptr && *end == '\0',
-          [&] { return "json: number is not an integer: " + text_; });
-  // strtoll saturates out-of-range text: reject it rather than answer
-  // with a value the document never held.
-  expects(errno != ERANGE,
-          [&] { return "json: integer out of range: " + text_; });
+/// Parse an integer token's text with std::from_chars, which reads
+/// exactly the JSON integer spelling (no whitespace, no '+') and reports
+/// overflow instead of saturating.
+template <typename Int>
+Int parse_integer(const std::string_view text, const char* not_integer) {
+  Int parsed = 0;
+  const char* const last = text.data() + text.size();
+  const auto [end, error] = std::from_chars(text.data(), last, parsed);
+  expects(end == last && error != std::errc::invalid_argument, [&] {
+    return not_integer + std::string(text);
+  });
+  expects(error != std::errc::result_out_of_range, [text] {
+    return "json: integer out of range: " + std::string(text);
+  });
   return parsed;
 }
 
-std::uint64_t JsonValue::as_uint64() const {
-  expects(kind_ == Kind::kNumber, "json: value is not a number");
-  expects(!text_.empty() && text_.front() != '-',
-          [&] { return "json: number is negative: " + text_; });
-  const char* begin = text_.c_str();
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long parsed = std::strtoull(begin, &end, 10);
-  expects(end != nullptr && *end == '\0',
-          [&] { return "json: number is not an unsigned integer: " + text_; });
-  expects(errno != ERANGE,
-          [&] { return "json: integer out of range: " + text_; });
-  return static_cast<std::uint64_t>(parsed);
+}  // namespace
+
+bool JsonToken::as_bool() const {
+  expects(kind == JsonKind::kBool, "json: value is not a bool");
+  return text == "true";
+}
+
+Real JsonToken::as_real() const {
+  // A string payload is legal here iff it parses under the shared codec:
+  // that is how JsonWriter spells inf/-inf/nan, the values JSON itself
+  // cannot carry as numbers.
+  expects(kind == JsonKind::kNumber || kind == JsonKind::kString,
+          "json: value is not a number (or codec string)");
+  return parse_real_field(text);
+}
+
+long long JsonToken::as_int() const {
+  expects(kind == JsonKind::kNumber, "json: value is not a number");
+  return parse_integer<long long>(text, "json: number is not an integer: ");
+}
+
+std::uint64_t JsonToken::as_uint64() const {
+  expects(kind == JsonKind::kNumber, "json: value is not a number");
+  expects(!text.empty() && text.front() != '-', [this] {
+    return "json: number is negative: " + std::string(text);
+  });
+  return parse_integer<std::uint64_t>(
+      text, "json: number is not an unsigned integer: ");
+}
+
+std::string_view JsonToken::as_string() const {
+  expects(kind == JsonKind::kString, "json: value is not a string");
+  return text;
+}
+
+std::string_view JsonToken::as_array() const {
+  expects(kind == JsonKind::kArray, "json: value is not an array");
+  return text;
 }
 
 const std::string& JsonValue::as_string() const {
-  expects(kind_ == Kind::kString, "json: value is not a string");
+  static_cast<void>(token().as_string());  // the kind check
   return text_;
 }
 
@@ -200,26 +214,96 @@ const JsonValue& JsonValue::at(const std::string_view name) const {
   return *found;
 }
 
-/// Recursive-descent parser over the whole input string.  Private API:
-/// only parse_json constructs one.
-class JsonParser {
+/// The one JSON scanner: a recursive-descent cursor over the text.  It
+/// validates as it goes, and allocates only to decode an escaped string,
+/// into `scratch`.  The first escape reserves the whole text's length
+/// there; decoding never lengthens a string, so the buffer never moves
+/// and every view handed out stays valid for the scratch's life.
+class JsonScanner {
  public:
-  explicit JsonParser(const std::string& text) : text_(&text) {}
+  JsonScanner(const std::string_view text, std::string& scratch)
+      : text_(text), scratch_(&scratch) {}
 
-  JsonValue parse_document() {
-    JsonValue value = parse_value(0);
+  [[nodiscard]] std::size_t position() const { return pos_; }
+
+  /// The kind of the value at the cursor, after the depth bound check.
+  JsonKind peek_value(const std::size_t depth) {
+    expects(depth < kMaxJsonDepth, "json: nesting deeper than kMaxJsonDepth");
+    switch (peek()) {
+      case '{': return JsonKind::kObject;
+      case '[': return JsonKind::kArray;
+      case '"': return JsonKind::kString;
+      case 't':
+      case 'f': return JsonKind::kBool;
+      case 'n': return JsonKind::kNull;
+      default: return JsonKind::kNumber;
+    }
+  }
+
+  /// Read the value at the cursor.  A string is decoded if `decode`;
+  /// an array or object is validated and returned as its raw span.
+  JsonToken value(const std::size_t depth, const bool decode = true) {
+    const JsonKind kind = peek_value(depth);
+    const std::size_t start = pos_;
+    switch (kind) {
+      case JsonKind::kObject:
+        consume('{');
+        for (bool first = true; more('}', first);) {
+          static_cast<void>(string(false));
+          consume(':');
+          static_cast<void>(value(depth + 1, false));
+        }
+        break;
+      case JsonKind::kArray:
+        consume('[');
+        for (bool first = true; more(']', first);) {
+          static_cast<void>(value(depth + 1, false));
+        }
+        break;
+      case JsonKind::kString: return {kind, string(decode)};
+      case JsonKind::kBool:
+        consume_literal(text_[pos_] == 't' ? "true" : "false");
+        break;
+      case JsonKind::kNull: consume_literal("null"); break;
+      case JsonKind::kNumber: number(); break;
+    }
+    return {kind, text_.substr(start, pos_ - start)};
+  }
+
+  /// Step into the container at the cursor (peek_value said which).
+  void open(const JsonKind kind) {
+    consume(kind == JsonKind::kObject ? '{' : '[');
+  }
+
+  /// Whether another member of the open container follows; consumes the
+  /// closing bracket or the separating comma.  `first` starts true.
+  bool more(const char close, bool& first) {
+    if (try_consume(close)) return false;
+    if (!first) consume(',');
+    first = false;
+    return true;
+  }
+
+  /// A member's decoded key and the ':' after it.
+  std::string_view key() {
+    const std::string_view name = string(true);
+    consume(':');
+    return name;
+  }
+
+  /// Only whitespace may follow the document.
+  void finish() {
     skip_whitespace();
-    expects(pos_ == text_->size(),
+    expects(pos_ == text_.size(),
             [this] { return "json: trailing garbage at offset " + offset(); });
-    return value;
   }
 
  private:
   [[nodiscard]] std::string offset() const { return std::to_string(pos_); }
 
   void skip_whitespace() {
-    while (pos_ < text_->size()) {
-      const char ch = (*text_)[pos_];
+    while (pos_ < text_.size()) {
+      const char ch = text_[pos_];
       if (ch != ' ' && ch != '\t' && ch != '\n' && ch != '\r') break;
       ++pos_;
     }
@@ -227,8 +311,8 @@ class JsonParser {
 
   char peek() {
     skip_whitespace();
-    expects(pos_ < text_->size(), "json: unexpected end of input");
-    return (*text_)[pos_];
+    expects(pos_ < text_.size(), "json: unexpected end of input");
+    return text_[pos_];
   }
 
   void consume(const char expected) {
@@ -249,111 +333,85 @@ class JsonParser {
   }
 
   void consume_literal(const std::string_view literal) {
-    expects(text_->compare(pos_, literal.size(), literal) == 0,
+    expects(text_.substr(pos_, literal.size()) == literal,
             [this] { return "json: bad literal at offset " + offset(); });
     pos_ += literal.size();
   }
 
-  JsonValue parse_value(const std::size_t depth) {
-    expects(depth < kMaxJsonDepth, "json: nesting deeper than kMaxJsonDepth");
-    const char head = peek();
-    switch (head) {
-      case '{': return parse_object(depth);
-      case '[': return parse_array(depth);
-      case '"': {
-        JsonValue value;
-        value.kind_ = JsonValue::Kind::kString;
-        value.text_ = parse_string();
-        return value;
-      }
-      case 't': {
-        consume_literal("true");
-        JsonValue value;
-        value.kind_ = JsonValue::Kind::kBool;
-        value.bool_ = true;
-        return value;
-      }
-      case 'f': {
-        consume_literal("false");
-        JsonValue value;
-        value.kind_ = JsonValue::Kind::kBool;
-        return value;
-      }
-      case 'n': {
-        consume_literal("null");
-        return JsonValue{};
-      }
-      default: return parse_number();
-    }
-  }
-
-  JsonValue parse_object(const std::size_t depth) {
-    consume('{');
-    JsonValue value;
-    value.kind_ = JsonValue::Kind::kObject;
-    value.object_ = std::make_shared<JsonValue::Object>();
-    if (try_consume('}')) return value;
-    while (true) {
-      std::string key = parse_string();
-      consume(':');
-      value.object_->emplace_back(std::move(key), parse_value(depth + 1));
-      if (try_consume('}')) return value;
-      consume(',');
-    }
-  }
-
-  JsonValue parse_array(const std::size_t depth) {
-    consume('[');
-    JsonValue value;
-    value.kind_ = JsonValue::Kind::kArray;
-    value.array_ = std::make_shared<JsonValue::Array>();
-    if (try_consume(']')) return value;
-    while (true) {
-      value.array_->push_back(parse_value(depth + 1));
-      if (try_consume(']')) return value;
-      consume(',');
-    }
-  }
-
-  std::string parse_string() {
+  /// A string at the cursor: a view of the source when it holds no
+  /// escape, else (if `decode`) of its decoded bytes in scratch.
+  /// Validation is the same either way.
+  std::string_view string(const bool decode) {
     consume('"');
-    std::string out;
+    const std::size_t start = pos_;
+    // Most strings hold no escape: run to the first byte that needs a
+    // look, and finish here if it is the closing quote.
+    while (pos_ < text_.size()) {
+      const auto ch = static_cast<unsigned char>(text_[pos_]);
+      if (ch == '"' || ch == '\\' || ch < 0x20) break;
+      ++pos_;
+    }
+    if (pos_ < text_.size() && text_[pos_] == '"') {
+      return text_.substr(start, pos_++ - start);
+    }
+    std::size_t decoded = std::string::npos;  ///< scratch offset, once escaped
     while (true) {
-      expects(pos_ < text_->size(), "json: unterminated string");
-      const char ch = (*text_)[pos_++];
-      if (ch == '"') return out;
+      expects(pos_ < text_.size(), "json: unterminated string");
+      const char ch = text_[pos_++];
+      if (ch == '"') {
+        if (decoded == std::string::npos) {
+          return text_.substr(start, pos_ - 1 - start);
+        }
+        return std::string_view(*scratch_).substr(decoded);
+      }
       if (ch != '\\') {
         expects(static_cast<unsigned char>(ch) >= 0x20, [this] {
           return "json: raw control character in string at offset " +
                  offset();
         });
-        out += ch;
+        if (decoded != std::string::npos) scratch_->push_back(ch);
         continue;
       }
-      expects(pos_ < text_->size(), "json: unterminated escape");
-      const char escape = (*text_)[pos_++];
+      if (decode && decoded == std::string::npos) {
+        if (scratch_->capacity() < text_.size()) {
+          scratch_->reserve(text_.size());
+        }
+        decoded = scratch_->size();
+        scratch_->append(text_.substr(start, pos_ - 1 - start));
+      }
+      expects(pos_ < text_.size(), "json: unterminated escape");
+      const char escape = text_[pos_++];
+      char plain = 0;
       switch (escape) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'u': out += parse_unicode_escape(); break;
+        case '"': plain = '"'; break;
+        case '\\': plain = '\\'; break;
+        case '/': plain = '/'; break;
+        case 'b': plain = '\b'; break;
+        case 'f': plain = '\f'; break;
+        case 'n': plain = '\n'; break;
+        case 'r': plain = '\r'; break;
+        case 't': plain = '\t'; break;
+        case 'u': {
+          char utf8[3];
+          const std::size_t length = unicode_escape(utf8);
+          if (decoded != std::string::npos) scratch_->append(utf8, length);
+          continue;
+        }
         default:
           expects(false,
                   [this] { return "json: bad escape at offset " + offset(); });
       }
+      if (decoded != std::string::npos) scratch_->push_back(plain);
     }
   }
 
-  std::string parse_unicode_escape() {
-    expects(pos_ + 4 <= text_->size(), "json: truncated \\u escape");
+  /// The four hex digits of a u-escape, UTF-8 encoded into `out`;
+  /// returns the encoded length.
+  std::size_t unicode_escape(char (&out)[3]) {
+    expects(pos_ + 4 <= text_.size(), "json: truncated \\u escape");
     unsigned code = 0;
     for (int i = 0; i < 4; ++i) {
-      const char ch = (*text_)[pos_++];
+      const char ch = text_[pos_++];
       code <<= 4u;
       if (ch >= '0' && ch <= '9') {
         code |= static_cast<unsigned>(ch - '0');
@@ -367,65 +425,138 @@ class JsonParser {
         });
       }
     }
-    // UTF-8 encode.  The writer only emits \u00xx control escapes, but
-    // arbitrary BMP code points from external clients decode correctly
-    // (surrogate pairs are rejected rather than silently mangled).
+    // The writer only emits \u00xx control escapes, but arbitrary BMP
+    // code points from external clients decode correctly (surrogate
+    // pairs are rejected rather than silently mangled).
     expects(code < 0xD800 || code > 0xDFFF, [this] {
       return "json: surrogate escapes unsupported at offset " + offset();
     });
-    std::string out;
     if (code < 0x80) {
-      out += static_cast<char>(code);
-    } else if (code < 0x800) {
-      out += static_cast<char>(0xC0u | (code >> 6u));
-      out += static_cast<char>(0x80u | (code & 0x3Fu));
-    } else {
-      out += static_cast<char>(0xE0u | (code >> 12u));
-      out += static_cast<char>(0x80u | ((code >> 6u) & 0x3Fu));
-      out += static_cast<char>(0x80u | (code & 0x3Fu));
+      out[0] = static_cast<char>(code);
+      return 1;
     }
-    return out;
+    if (code < 0x800) {
+      out[0] = static_cast<char>(0xC0u | (code >> 6u));
+      out[1] = static_cast<char>(0x80u | (code & 0x3Fu));
+      return 2;
+    }
+    out[0] = static_cast<char>(0xE0u | (code >> 12u));
+    out[1] = static_cast<char>(0x80u | ((code >> 6u) & 0x3Fu));
+    out[2] = static_cast<char>(0x80u | (code & 0x3Fu));
+    return 3;
   }
 
-  JsonValue parse_number() {
-    skip_whitespace();
-    const std::size_t start = pos_;
-    if (pos_ < text_->size() && (*text_)[pos_] == '-') ++pos_;
+  void number() {
+    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
     const auto eat_digits = [&] {
       const std::size_t before = pos_;
-      while (pos_ < text_->size() &&
-             std::isdigit(static_cast<unsigned char>((*text_)[pos_])) != 0) {
+      while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
         ++pos_;
       }
       expects(pos_ > before,
               [this] { return "json: expected digit at offset " + offset(); });
     };
     eat_digits();
-    if (pos_ < text_->size() && (*text_)[pos_] == '.') {
+    if (pos_ < text_.size() && text_[pos_] == '.') {
       ++pos_;
       eat_digits();
     }
-    if (pos_ < text_->size() &&
-        ((*text_)[pos_] == 'e' || (*text_)[pos_] == 'E')) {
+    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
       ++pos_;
-      if (pos_ < text_->size() &&
-          ((*text_)[pos_] == '+' || (*text_)[pos_] == '-')) {
+      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) {
         ++pos_;
       }
       eat_digits();
     }
-    JsonValue value;
-    value.kind_ = JsonValue::Kind::kNumber;
-    value.text_ = text_->substr(start, pos_ - start);
-    return value;
   }
 
-  const std::string* text_;
+  std::string_view text_;
+  std::string* scratch_;
   std::size_t pos_ = 0;
 };
 
-JsonValue parse_json(const std::string& text) {
-  return JsonParser(text).parse_document();
+JsonView::JsonView(const std::string_view text) {
+  JsonScanner scanner(text, scratch_);
+  const JsonKind kind = scanner.peek_value(0);
+  if (kind != JsonKind::kObject && kind != JsonKind::kArray) {
+    root_ = scanner.value(0);
+  } else {
+    const std::size_t start = scanner.position();
+    scanner.open(kind);
+    const char close = kind == JsonKind::kObject ? '}' : ']';
+    for (bool first = true; scanner.more(close, first);) {
+      Member member;
+      if (kind == JsonKind::kObject) member.key = scanner.key();
+      member.value = scanner.value(1);
+      add(member);
+    }
+    root_ = {kind, text.substr(start, scanner.position() - start)};
+  }
+  scanner.finish();
+}
+
+void JsonView::add(const Member& member) {
+  if (size_ < kInlineMembers) {
+    inline_[size_++] = member;
+    return;
+  }
+  if (spill_.empty()) spill_.assign(inline_.begin(), inline_.end());
+  spill_.push_back(member);
+  ++size_;
+}
+
+const JsonToken* JsonView::find(const std::string_view name) const {
+  expects(is_object(), "json: value is not an object");
+  for (const Member& member : members()) {
+    if (member.key == name) return &member.value;
+  }
+  return nullptr;
+}
+
+const JsonToken& JsonView::at(const std::string_view name) const {
+  const JsonToken* found = find(name);
+  expects(found != nullptr, [name] {
+    return "json: missing key \"" + std::string(name) + "\"";
+  });
+  return *found;
+}
+
+/// parse_json's tree, built on the scanner.  Private API: only
+/// parse_json constructs one.
+class JsonTreeBuilder {
+ public:
+  static JsonValue build(JsonScanner& scanner, const std::size_t depth) {
+    JsonValue node;
+    node.kind_ = scanner.peek_value(depth);
+    switch (node.kind_) {
+      case JsonKind::kObject: {
+        node.object_ = std::make_shared<JsonValue::Object>();
+        scanner.open(JsonKind::kObject);
+        for (bool first = true; scanner.more('}', first);) {
+          std::string key(scanner.key());
+          node.object_->emplace_back(std::move(key), build(scanner, depth + 1));
+        }
+        break;
+      }
+      case JsonKind::kArray:
+        node.array_ = std::make_shared<JsonValue::Array>();
+        scanner.open(JsonKind::kArray);
+        for (bool first = true; scanner.more(']', first);) {
+          node.array_->push_back(build(scanner, depth + 1));
+        }
+        break;
+      default: node.text_ = scanner.value(depth).text; break;
+    }
+    return node;
+  }
+};
+
+JsonValue parse_json(const std::string_view text) {
+  std::string scratch;
+  JsonScanner scanner(text, scratch);
+  JsonValue document = JsonTreeBuilder::build(scanner, 0);
+  scanner.finish();
+  return document;
 }
 
 }  // namespace linesearch
