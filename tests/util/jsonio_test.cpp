@@ -260,6 +260,59 @@ TEST(JsonParser, RejectsOutOfRangeIntegers) {
   EXPECT_EQ(parse_json("18446744073709551615").as_uint64(), UINT64_MAX);
 }
 
+TEST(JsonView, HandsBackTopLevelMembersWithoutATree) {
+  const std::string text =
+      R"( {"a": 1, "\u0062": "x\ty", "c": [1, {"d": "\u0065"}], "a": 2} )";
+  const JsonView view(text);
+  ASSERT_TRUE(view.is_object());
+  ASSERT_EQ(view.members().size(), 4u);
+  EXPECT_EQ(view.members()[1].key, "b");
+  EXPECT_EQ(view.members()[1].value.as_string(), "x\ty");
+  // Nested values are raw, validated spans of the source.
+  EXPECT_EQ(view.at("c").as_array(), R"([1, {"d": "\u0065"}])");
+  EXPECT_EQ(view.root().text, text.substr(1, text.size() - 2));
+  // Duplicate keys: the first match wins, as in JsonValue::find.
+  EXPECT_EQ(view.at("a").as_int(), 1);
+  EXPECT_EQ(view.find("zz"), nullptr);
+  EXPECT_EQ(precondition_message([&] { (void)view.at("zz"); }),
+            "json: missing key \"zz\"");
+
+  // An unescaped string is a view into the source.
+  const std::string plain = R"({"k": "value"})";
+  const JsonView plain_view(plain);
+  const std::string_view value = plain_view.at("k").as_string();
+  EXPECT_GE(value.data(), plain.data());
+  EXPECT_LT(value.data(), plain.data() + plain.size());
+
+  // An array root's members are its elements, with empty keys; more
+  // than the inline capacity spills over intact.
+  std::string array = "[0";
+  for (int i = 1; i < 40; ++i) array += "," + std::to_string(i);
+  array += "]";
+  const JsonView elements(array);
+  ASSERT_EQ(elements.members().size(), 40u);
+  long long expected = 0;
+  for (const JsonView::Member& element : elements.members()) {
+    EXPECT_TRUE(element.key.empty());
+    EXPECT_EQ(element.value.as_int(), expected++);
+  }
+  EXPECT_EQ(precondition_message([&] { (void)elements.find("x"); }),
+            "json: value is not an object");
+}
+
+TEST(JsonView, RejectsWhatParseJsonRejectsWithTheSameMessage) {
+  for (const std::string text :
+       {"", "1 2", "01x", "{\"a\" 1}", "[1 2]", "tru", "\"a\x01\"",
+        R"("\q")", R"("\u00g0")", R"("\u12")", R"("\ud800")", "[1,]", "-x",
+        "1.e5", "\"unterminated", "\"a\\", R"({"a":[1,"\q"]})",
+        R"({"a":{"b":tru}})", "{\"a\":1,}"}) {
+    const std::string want = parse_message(text);
+    ASSERT_NE(want, "(no error)") << text;
+    EXPECT_EQ(precondition_message([&] { const JsonView view(text); }), want)
+        << text;
+  }
+}
+
 TEST(JsonParser, BoundsNestingDepth) {
   std::string deep;
   for (std::size_t i = 0; i < kMaxJsonDepth + 1; ++i) deep += '[';
